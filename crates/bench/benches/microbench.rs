@@ -11,9 +11,7 @@ use seaweed_availability::ReturnPrediction;
 use seaweed_core::predictor::Predictor;
 use seaweed_core::vertex::chain_to_root;
 use seaweed_overlay::{Overlay, OverlayConfig, OverlayEvent, OverlayMsg};
-use seaweed_sim::{
-    Engine, Event, NodeIdx, SchedulerKind, SimConfig, TrafficClass, UniformTopology,
-};
+use seaweed_sim::{Engine, Event, NodeIdx, SimConfig, TrafficClass, UniformTopology};
 use seaweed_store::histogram::NumericHistogram;
 use seaweed_store::{AggFunc, Aggregate, CmpOp, Query};
 use seaweed_types::{sha1, Duration, Id, Time};
@@ -199,20 +197,16 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// Timer-heavy scheduler comparison: the hierarchical wheel vs the
-/// reference binary heap on the protocol's dominant event pattern —
-/// short-lived heartbeat timers, half of them cancelled before firing,
-/// re-armed from inside the event loop.
+/// Timer-heavy engine throughput on the protocol's dominant event
+/// pattern — short-lived heartbeat timers, half of them cancelled before
+/// firing, re-armed from inside the event loop.
 fn bench_des_event_throughput(c: &mut Criterion) {
     const TIMERS: u64 = 100_000;
 
-    fn run(scheduler: SchedulerKind) -> u64 {
+    fn run() -> u64 {
         let mut eng: Engine<u64> = Engine::new(
             Box::new(UniformTopology::new(8, Duration::MILLISECOND)),
-            SimConfig {
-                scheduler,
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
         );
         for i in 0..8u64 {
             eng.schedule_up(Time(i), NodeIdx(i as u32));
@@ -247,8 +241,7 @@ fn bench_des_event_throughput(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("des_event_throughput");
     g.throughput(Throughput::Elements(TIMERS));
-    g.bench_function("wheel", |b| b.iter(|| black_box(run(SchedulerKind::Wheel))));
-    g.bench_function("heap", |b| b.iter(|| black_box(run(SchedulerKind::Heap))));
+    g.bench_function("wheel", |b| b.iter(|| black_box(run())));
     g.finish();
 }
 

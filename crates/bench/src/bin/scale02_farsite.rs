@@ -19,7 +19,7 @@
 //!   events/second and peak RSS, the machine-dependent numbers backing
 //!   the EXPERIMENTS.md entry.
 
-use seaweed_bench::{write_csv, Args, OutTable};
+use seaweed_bench::{peak_rss_bytes, write_csv, Args, OutTable};
 use seaweed_core::{ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
 use seaweed_overlay::{Overlay, OverlayConfig};
 use seaweed_sim::{CorpNetTopology, Engine, NodeIdx, SimConfig};
@@ -36,27 +36,6 @@ const PEAK_RSS_BEFORE_SLIMMING: u64 = 3_848_216_576;
 
 fn secs(s: u64) -> Time {
     Time(s * 1_000_000)
-}
-
-/// Process peak resident set (VmHWM) in bytes; 0 where /proc is absent.
-/// Monotone over process lifetime, so points are run in ascending N and
-/// the figure reported for each point is "peak RSS so far".
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }
 
 struct Point {

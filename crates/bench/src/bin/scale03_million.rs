@@ -29,7 +29,7 @@
 
 use std::sync::Arc;
 
-use seaweed_bench::{write_csv, Args, OutTable};
+use seaweed_bench::{peak_rss_bytes, write_csv, Args, OutTable};
 use seaweed_core::{
     ChaosOracle, FedSchedule, FedShard, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
 };
@@ -48,27 +48,6 @@ const MILLION: usize = 1_000_000;
 
 fn secs(s: u64) -> Time {
     Time(s * 1_000_000)
-}
-
-/// Process peak resident set (VmHWM) in bytes; 0 where /proc is absent.
-/// Monotone over process lifetime, so points run in ascending N and each
-/// figure is "peak RSS so far".
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }
 
 /// Deterministic per-shard outcome; summed into a [`Point`].

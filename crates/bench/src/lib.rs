@@ -19,3 +19,24 @@ pub mod predsim;
 pub use cli::Args;
 pub use output::{write_csv, Table as OutTable};
 pub use parallel::{jobs, run_sweep};
+
+/// Process peak resident set (`VmHWM`) in bytes; 0 where `/proc` is
+/// absent. Monotone over the process lifetime, so sweeps that report it
+/// per point run in ascending N and each figure is "peak RSS so far".
+#[must_use]
+pub fn peak_rss_bytes() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| {
+            rest.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .ok()
+        })
+        .map_or(0, |kb| kb * 1024)
+}

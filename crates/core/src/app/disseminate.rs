@@ -664,8 +664,8 @@ impl<P: DataProvider> Seaweed<P> {
         // same range (an old given-up slot plus a fresh one), so collect
         // every candidate and prefer a still-pending slot — container
         // iteration order must not decide which task fills.
-        // `candidate_keys` returns ascending key order under both hot
-        // state layouts, which pins the tie-break.
+        // `candidate_keys` returns ascending key order, which pins the
+        // tie-break.
         let candidates: Vec<TaskKey> = self
             .tasks
             .candidate_keys(n.0, h, |task| task.slots.iter().any(|s| s.range == range));

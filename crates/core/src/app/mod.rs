@@ -719,10 +719,9 @@ impl<P: DataProvider> Seaweed<P> {
     #[must_use]
     pub fn new(overlay: Overlay, provider: P, cfg: SeaweedConfig) -> Self {
         let n = overlay.ids().len();
-        // Hot-state container backend; the overlay's ring index (which
-        // asserts id uniqueness) doubles as the ordered id universe for
-        // range enumeration, so no separate id map is kept here.
-        let layout = overlay.config().layout;
+        // The overlay's ring index (which asserts id uniqueness) doubles
+        // as the ordered id universe for range enumeration, so no
+        // separate id map is kept here.
         Seaweed {
             rng: StdRng::seed_from_u64(cfg.seed ^ APP_STREAM),
             models: (0..n).map(|_| AvailabilityModel::new(cfg.model)).collect(),
@@ -738,12 +737,12 @@ impl<P: DataProvider> Seaweed<P> {
             knows_query: vec![0; n],
             submitted: vec![0; n],
             exec_pending: vec![0; n],
-            tasks: TaskStore::new(layout, n),
-            vertices: VertexStore::new(layout),
+            tasks: TaskStore::new(n),
+            vertices: VertexStore::default(),
             node_vertices: vec![Vec::new(); n],
-            pending_submits: SubmitStore::new(layout, n),
-            cont_epoch: NodeQueryStore::new(layout, n),
-            leaf_targets: NodeQueryStore::new(layout, n),
+            pending_submits: SubmitStore::new(n),
+            cont_epoch: NodeQueryStore::new(n),
+            leaf_targets: NodeQueryStore::new(n),
             gave_up: Vec::new(),
             slot_gen: Vec::new(),
             free_slots: Vec::new(),
@@ -1752,8 +1751,8 @@ impl<P: DataProvider> Seaweed<P> {
                 continue;
             }
             if issuer == n {
-                // Ascending key order under both layouts; the first
-                // candidate is picked, so the order is protocol-visible.
+                // Ascending key order; the first candidate is picked, so
+                // the order is protocol-visible.
                 let candidates: Vec<TaskKey> = self
                     .tasks
                     .candidate_keys(n.0, h, |task| task.slots.iter().any(|s| s.range == range));

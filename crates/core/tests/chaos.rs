@@ -3,167 +3,16 @@
 //! outage, link degradation, message duplication and bounded reordering.
 //! Across many seeds the [`ChaosOracle`] invariants must hold at every
 //! checkpoint, and the same seed must reproduce a byte-identical event
-//! log.
+//! log. A last test checks that freed per-query slots do not leak state
+//! into a later query that reuses them.
 
+mod common;
+
+use common::{drive, drive_logged, secs, EventLog, World, CHECKPOINTS, N, T0};
 use proptest::prelude::*;
-use seaweed_core::{ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg};
-use seaweed_sim::{
-    CorpNetTopology, CrashSpec, Engine, Event, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec,
-    PartitionSpec, SimConfig, TraceConfig,
-};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
-use seaweed_types::{Duration, Time};
-
-const N: usize = 36;
-const ROUTERS: usize = 24;
-/// Query injection time; all fault windows are anchored after it.
-const T0: u64 = 600_000_000; // 600 s in µs
-
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
-/// Builds the fault plan from the topology's structure: cut the regional
-/// router with the largest subtree, take the biggest branch down with
-/// amnesia, degrade one router pair, and crash two bystanders.
-fn chaos_plan(topo: &CorpNetTopology) -> FaultPlan {
-    let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
-    let branch = topo
-        .branch_routers()
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
-
-    // Two bystander crashes, disjoint from the partition and the outage
-    // (overlap is legal, but disjointness keeps every fault observable)
-    // and sparing the origin (node 0).
-    let excluded: Vec<u32> = partition
-        .members
-        .iter()
-        .chain(outage.members.iter())
-        .copied()
-        .collect();
-    let bystanders: Vec<u32> = (1..N as u32)
-        .filter(|m| !excluded.contains(m))
-        .take(2)
-        .collect();
-    let crashes = vec![
-        CrashSpec {
-            node: NodeIdx(bystanders[0]),
-            at: secs(630),
-            rejoin_after: Duration::from_secs(60),
-        },
-        CrashSpec {
-            node: NodeIdx(bystanders[1]),
-            at: secs(690),
-            rejoin_after: Duration::from_secs(45),
-        },
-    ];
-
-    let za = topo.router_of(NodeIdx(1)) as u32;
-    let mut zb = topo.router_of(NodeIdx(2)) as u32;
-    if zb == za {
-        zb = topo.router_of(NodeIdx(3)) as u32;
-    }
-    FaultPlan {
-        partitions: vec![partition],
-        link_faults: vec![LinkFaultSpec {
-            zone_a: za,
-            zone_b: zb,
-            from: secs(600),
-            until: secs(720),
-            extra_loss: 0.15,
-            latency_mult: 3.0,
-        }],
-        crashes,
-        outages: vec![outage],
-        dup_rate: 0.02,
-        reorder_window: Duration::from_millis(50),
-    }
-}
-
-fn world(seed: u64, trace: bool) -> (SeaweedEngine, Seaweed<LiveTables>, Schema, FaultPlan) {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(N);
-    for node in 0..N {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .unwrap();
-        tables.push(t);
-    }
-    let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, seed);
-    let plan = chaos_plan(&topo);
-    let eng: SeaweedEngine = Engine::new(
-        Box::new(topo),
-        SimConfig {
-            seed,
-            loss_rate: 0.01,
-            faults: Some(plan.clone()),
-            trace: trace.then(TraceConfig::default),
-            ..SimConfig::default()
-        },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(N, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
-        SeaweedConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    (eng, sw, schema, plan)
-}
-
-/// FNV-1a fingerprint over a compact per-event descriptor. Payload
-/// contents are excluded; ordering, endpoints and timestamps pin the
-/// schedule bit-for-bit.
-struct EventLog {
-    hash: u64,
-    len: u64,
-}
-
-impl EventLog {
-    fn new() -> Self {
-        EventLog {
-            hash: 0xcbf2_9ce4_8422_2325,
-            len: 0,
-        }
-    }
-
-    fn add(&mut self, t: Time, ev: &Event<OverlayMsg<seaweed_core::SeaweedMsg>>) {
-        let desc = match *ev {
-            Event::Message { from, to, .. } => format!("m:{}:{}:{}", t.as_micros(), from.0, to.0),
-            Event::Timer { node, tag } => format!("t:{}:{}:{tag}", t.as_micros(), node.0),
-            Event::NodeUp { node } => format!("u:{}:{}", t.as_micros(), node.0),
-            Event::NodeDown { node } => format!("d:{}:{}", t.as_micros(), node.0),
-            Event::NodeCrash { node } => format!("c:{}:{}", t.as_micros(), node.0),
-            Event::PartitionStart { partition } => format!("ps:{}:{partition}", t.as_micros()),
-            Event::PartitionEnd { partition } => format!("pe:{}:{partition}", t.as_micros()),
-        };
-        for b in desc.as_bytes() {
-            self.hash ^= u64::from(*b);
-            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
-        }
-        self.len += 1;
-    }
-}
+use seaweed_core::ChaosOracle;
+use seaweed_sim::NodeIdx;
+use seaweed_types::Duration;
 
 struct RunResult {
     log_hash: u64,
@@ -177,18 +26,13 @@ struct RunResult {
 }
 
 fn run_chaos(seed: u64, trace: bool) -> RunResult {
-    let (mut eng, mut sw, schema, _plan) = world(seed, trace);
-    for i in 0..N {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
+    let (mut eng, mut sw, schema) = World {
+        trace,
+        ..World::new(seed)
     }
+    .build();
     let mut log = EventLog::new();
-    let mut drive = |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-        while let Some((t, ev)) = eng.next_event_before(horizon) {
-            log.add(t, &ev);
-            sw.dispatch(eng, ev);
-        }
-    };
-    drive(&mut eng, &mut sw, Time(T0));
+    drive_logged(&mut eng, &mut sw, T0, &mut log);
     assert_eq!(sw.overlay.num_joined(), N, "all join before the faults");
 
     sw.inject_query(
@@ -200,12 +44,10 @@ fn run_chaos(seed: u64, trace: bool) -> RunResult {
     )
     .unwrap();
 
-    // Checkpoints straddle every fault window: mid-partition/outage,
-    // post-crash-rejoin, post-heal, and converged.
     let oracle = ChaosOracle::new(N as u64);
     let mut violations = Vec::new();
-    for t in [650, 720, 800, 1000, 1500] {
-        drive(&mut eng, &mut sw, secs(t));
+    for t in CHECKPOINTS {
+        drive_logged(&mut eng, &mut sw, secs(t), &mut log);
         violations.extend(oracle.check(&sw, &eng));
     }
 
@@ -270,4 +112,46 @@ proptest! {
         prop_assert_eq!(traced.log_len, plain.log_len);
         prop_assert_eq!(traced.rows, plain.rows);
     }
+}
+
+/// Slab/block reuse across query lifecycles: a first query's expiry
+/// returns its vertex slots and per-query blocks to the free pools; a
+/// second query then reuses them. The second query must converge to full
+/// completeness and the exactly-once oracle must stay clean throughout —
+/// any state leaking out of a recycled slot (stale children, holders,
+/// epochs, leaf targets) would trip it.
+#[test]
+fn freed_query_slots_do_not_leak_into_reused_handles() {
+    let (mut eng, mut sw, schema) = World::new(7).build();
+    drive(&mut eng, &mut sw, T0);
+
+    // First query: short lifetime so it expires mid-run.
+    let h0 = sw
+        .inject_query(
+            &mut eng,
+            NodeIdx(0),
+            "SELECT SUM(v) FROM T WHERE flag = 1",
+            Duration::from_secs(120),
+            &schema,
+        )
+        .unwrap();
+    drive(&mut eng, &mut sw, secs(900));
+    assert!(!sw.query(h0).active, "first query must have expired");
+
+    // Second query reuses the recycled arena storage.
+    let h1 = sw
+        .inject_query(
+            &mut eng,
+            NodeIdx(0),
+            "SELECT COUNT(*) FROM T WHERE flag = 1",
+            Duration::from_hours(2),
+            &schema,
+        )
+        .unwrap();
+    assert_ne!(h0, h1, "handles are never reused");
+    drive(&mut eng, &mut sw, secs(1800));
+
+    let oracle = ChaosOracle::new(N as u64);
+    oracle.assert_clean(&sw, &eng);
+    assert_eq!(sw.query(h1).rows(), N as u64, "second query converges");
 }

@@ -1,8 +1,8 @@
 //! Federated Seaweed under the partitioned parallel executor, with the
 //! full chaos plan active in every shard.
 //!
-//! Three claims, pinned across 32 seeds and both overlay layouts
-//! (`Map` and `Arena`), per satellite of DESIGN.md §3.6:
+//! Three claims, pinned across 32 seeds per DESIGN.md §3.6, plus
+//! golden fingerprints for three fixed seeds:
 //!
 //! 1. [`ExecKind::Parallel`] is byte-identical to [`ExecKind::Serial`]:
 //!    per-shard event-log fingerprints, result rows, bandwidth reports
@@ -13,94 +13,24 @@
 //! 3. The fault machinery actually fires inside shards (duplicated
 //!    messages observed), so the equivalence is not vacuous.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{federated_chaos_plan, fnv_str, schema, secs};
 use proptest::prelude::*;
 use seaweed_core::{
     ChaosOracle, FedSchedule, FedShard, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
 };
-use seaweed_overlay::{LayoutKind, Overlay, OverlayConfig};
+use seaweed_overlay::{Overlay, OverlayConfig};
 use seaweed_sim::exec::{partition_seed, run_partitioned, ExecConfig, ExecKind};
-use seaweed_sim::{
-    CorpNetTopology, CrashSpec, Engine, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec,
-    PartitionSpec, SimConfig, SubTopology, Topology,
-};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_sim::{CorpNetTopology, Engine, NodeIdx, SimConfig, SubTopology, Topology};
+use seaweed_store::{Table, Value};
 use seaweed_types::{Duration, Time};
 
 const N: usize = 48;
 const ROUTERS: usize = 24;
 const PARTS: usize = 3;
-
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
-/// Global-index chaos plan in the mould of `tests/chaos.rs`: structural
-/// partition, correlated amnesia outage, link degradation, bystander
-/// crashes, duplication, reordering. Each shard receives its projection
-/// via [`FaultPlan::for_partition`]. Shard origins (each partition's
-/// local node 0) are spared from crashes/outages so query injection
-/// always has a live origin.
-fn chaos_plan(topo: &CorpNetTopology, origins: &[u32]) -> FaultPlan {
-    let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
-    let branch = topo
-        .branch_routers()
-        .max_by_key(|&r| {
-            topo.subtree_endsystems(r)
-                .iter()
-                .filter(|e| !origins.contains(e))
-                .count()
-        })
-        .unwrap();
-    let mut outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
-    outage.members.retain(|m| !origins.contains(m));
-
-    let excluded: Vec<u32> = partition
-        .members
-        .iter()
-        .chain(outage.members.iter())
-        .chain(origins.iter())
-        .copied()
-        .collect();
-    let bystanders: Vec<u32> = (0..N as u32)
-        .filter(|m| !excluded.contains(m))
-        .take(2)
-        .collect();
-    let crashes = bystanders
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| CrashSpec {
-            node: NodeIdx(b),
-            at: secs(630 + 60 * i as u64),
-            rejoin_after: Duration::from_secs(60),
-        })
-        .collect();
-
-    let za = topo.router_of(NodeIdx(1)) as u32;
-    let mut zb = topo.router_of(NodeIdx(2)) as u32;
-    if zb == za {
-        zb = topo.router_of(NodeIdx(3)) as u32;
-    }
-    FaultPlan {
-        partitions: vec![partition],
-        link_faults: vec![LinkFaultSpec {
-            zone_a: za,
-            zone_b: zb,
-            from: secs(600),
-            until: secs(720),
-            extra_loss: 0.15,
-            latency_mult: 3.0,
-        }],
-        crashes,
-        outages: vec![outage],
-        dup_rate: 0.02,
-        reorder_window: Duration::from_millis(50),
-    }
-}
 
 /// Per-shard run fingerprint — everything that must be byte-identical
 /// between serial and parallel execution.
@@ -115,14 +45,8 @@ struct ShardResult {
     violations: Vec<String>,
 }
 
-fn run_federated(seed: u64, layout: LayoutKind, kind: ExecKind) -> Vec<ShardResult> {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
+fn run_federated(seed: u64, kind: ExecKind) -> Vec<ShardResult> {
+    let schema = schema();
     let global = Arc::new(CorpNetTopology::with_params(
         N,
         ROUTERS,
@@ -136,7 +60,7 @@ fn run_federated(seed: u64, layout: LayoutKind, kind: ExecKind) -> Vec<ShardResu
         pmap.lookahead
     );
     let origins: Vec<u32> = pmap.members.iter().map(|m| m[0]).collect();
-    let plan = chaos_plan(&global, &origins);
+    let plan = federated_chaos_plan(&global, &origins);
     let schedule = FedSchedule {
         inject_at: secs(600),
         report_at: secs(1400),
@@ -171,7 +95,6 @@ fn run_federated(seed: u64, layout: LayoutKind, kind: ExecKind) -> Vec<ShardResu
             Overlay::random_ids(members.len(), shard_seed),
             OverlayConfig {
                 seed: shard_seed,
-                layout,
                 ..Default::default()
             },
         );
@@ -218,27 +141,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// 32-seed chaos sweep under `ExecKind::Parallel`: oracle-clean in
-    /// every shard, byte-identical to `Serial`, across both overlay
-    /// layouts.
+    /// every shard and byte-identical to `Serial`.
     #[test]
     fn federated_chaos_parallel_is_clean_and_serial_identical(seed in 0u64..10_000) {
-        for layout in [LayoutKind::Map, LayoutKind::Arena] {
-            let parallel = run_federated(seed, layout, ExecKind::Parallel);
-            for (p, r) in parallel.iter().enumerate() {
-                prop_assert!(
-                    r.violations.is_empty(),
-                    "oracle violations in shard {p} (seed {seed}, {layout:?}):\n  {}",
-                    r.violations.join("\n  ")
-                );
-            }
-            // The root heard from every other shard.
-            prop_assert_eq!(parallel[0].reports_received, PARTS as u32 - 1);
-            // Chaos actually fired inside the shards.
-            let dup: u64 = parallel.iter().map(|r| r.duplicated).sum();
-            prop_assert!(dup > 0, "no duplicated messages anywhere (seed {seed})");
-
-            let serial = run_federated(seed, layout, ExecKind::Serial);
-            prop_assert_eq!(&parallel, &serial, "parallel vs serial (seed {seed}, {layout:?})");
+        let parallel = run_federated(seed, ExecKind::Parallel);
+        for (p, r) in parallel.iter().enumerate() {
+            prop_assert!(
+                r.violations.is_empty(),
+                "oracle violations in shard {p} (seed {seed}):\n  {}",
+                r.violations.join("\n  ")
+            );
         }
+        // The root heard from every other shard.
+        prop_assert_eq!(parallel[0].reports_received, PARTS as u32 - 1);
+        // Chaos actually fired inside the shards.
+        let dup: u64 = parallel.iter().map(|r| r.duplicated).sum();
+        prop_assert!(dup > 0, "no duplicated messages anywhere (seed {seed})");
+
+        let serial = run_federated(seed, ExecKind::Serial);
+        prop_assert_eq!(&parallel, &serial, "parallel vs serial (seed {})", seed);
     }
+}
+
+/// `(seed, hash)`: FNV of the `Debug` rendering of a serial run's
+/// per-shard results, captured when the `BTreeMap` hot-state layout
+/// still existed and agreed with the arena layout on it.
+const GOLDENS: [(u64, u64); 3] = [
+    (1, 0x314f_85e8_0fcf_c1fd),
+    (7, 0xb2de_f6bc_0589_5977),
+    (42, 0x87ac_c09c_7a7b_10d6),
+];
+
+#[test]
+fn federated_chaos_matches_goldens() {
+    let got: Vec<(u64, u64)> = GOLDENS
+        .iter()
+        .map(|&(seed, _)| {
+            let shards = run_federated(seed, ExecKind::Serial);
+            (seed, fnv_str(&format!("{shards:?}")))
+        })
+        .collect();
+    assert_eq!(
+        got, GOLDENS,
+        "federated runs diverged from the goldens: {got:#x?}"
+    );
 }

@@ -7,166 +7,42 @@
 //! (including exactly-once and the new timer-hygiene/hedge-accounting
 //! checks), deterministic replay, and sane hedge bookkeeping.
 
+mod common;
+
+use common::{drive_logged, fnv_str, secs, EventLog, World, CHECKPOINTS, N, T0};
 use proptest::prelude::*;
-use seaweed_core::{ChaosOracle, HedgeConfig, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{LayoutKind, Overlay, OverlayConfig, SelectionKind};
-use seaweed_sim::{
-    CorpNetTopology, CrashSpec, Engine, Event, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec,
-    PartitionSpec, SchedulerKind, SimConfig,
-};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
-use seaweed_types::{Duration, Time};
+use seaweed_core::{ChaosOracle, HedgeConfig, SeaweedConfig};
+use seaweed_overlay::{OverlayConfig, SelectionKind};
+use seaweed_sim::NodeIdx;
+use seaweed_types::Duration;
 
-const N: usize = 36;
-const ROUTERS: usize = 24;
-const T0: u64 = 600_000_000;
-
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
-/// Same fault schedule as `chaos.rs` / `selection_equivalence.rs`.
-fn chaos_plan(topo: &CorpNetTopology) -> FaultPlan {
-    let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
-    let branch = topo
-        .branch_routers()
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
-    let excluded: Vec<u32> = partition
-        .members
-        .iter()
-        .chain(outage.members.iter())
-        .copied()
-        .collect();
-    let bystanders: Vec<u32> = (1..N as u32)
-        .filter(|m| !excluded.contains(m))
-        .take(2)
-        .collect();
-    let crashes = vec![
-        CrashSpec {
-            node: NodeIdx(bystanders[0]),
-            at: secs(630),
-            rejoin_after: Duration::from_secs(60),
-        },
-        CrashSpec {
-            node: NodeIdx(bystanders[1]),
-            at: secs(690),
-            rejoin_after: Duration::from_secs(45),
-        },
-    ];
-    let za = topo.router_of(NodeIdx(1)) as u32;
-    let mut zb = topo.router_of(NodeIdx(2)) as u32;
-    if zb == za {
-        zb = topo.router_of(NodeIdx(3)) as u32;
-    }
-    FaultPlan {
-        partitions: vec![partition],
-        link_faults: vec![LinkFaultSpec {
-            zone_a: za,
-            zone_b: zb,
-            from: secs(600),
-            until: secs(720),
-            extra_loss: 0.15,
-            latency_mult: 3.0,
-        }],
-        crashes,
-        outages: vec![outage],
-        dup_rate: 0.02,
-        reorder_window: Duration::from_millis(50),
-    }
-}
-
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *hash ^= u64::from(*b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
+#[derive(Debug, PartialEq)]
 struct RunResult {
-    log_hash: u64,
-    log_len: u64,
+    log: EventLog,
     rows: u64,
     hedges_sent: u64,
     hedge_wins: u64,
     hedge_losses: u64,
     hedge_wasted_bytes: u64,
     give_ups: u64,
+    report_hash: u64,
 }
 
-fn run_hedged(seed: u64, layout: LayoutKind, scheduler: SchedulerKind) -> RunResult {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(N);
-    for node in 0..N {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .unwrap();
-        tables.push(t);
-    }
-    let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, seed);
-    let plan = chaos_plan(&topo);
-    let mut eng: SeaweedEngine = Engine::new(
-        Box::new(topo),
-        SimConfig {
-            seed,
-            scheduler,
-            loss_rate: 0.01,
-            faults: Some(plan),
-            ..SimConfig::default()
-        },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(N, seed),
-        OverlayConfig {
-            seed,
-            layout,
+fn run_hedged(seed: u64) -> RunResult {
+    let (mut eng, mut sw, schema) = World {
+        overlay: OverlayConfig {
             selection: SelectionKind::AvailAware,
-            ..Default::default()
+            ..OverlayConfig::default()
         },
-    );
-    let mut sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
-        SeaweedConfig {
-            seed,
+        seaweed: SeaweedConfig {
             hedge: Some(HedgeConfig::default()),
-            ..Default::default()
+            ..SeaweedConfig::default()
         },
-    );
-    for i in 0..N {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
+        ..World::new(seed)
     }
-    let mut log_hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut log_len = 0u64;
-    let mut drive = |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-        while let Some((t, ev)) = eng.next_event_before(horizon) {
-            let desc = match ev {
-                Event::Message { from, to, .. } => {
-                    format!("m:{}:{}:{}", t.as_micros(), from.0, to.0)
-                }
-                Event::Timer { node, tag } => format!("t:{}:{}:{tag}", t.as_micros(), node.0),
-                Event::NodeUp { node } => format!("u:{}:{}", t.as_micros(), node.0),
-                Event::NodeDown { node } => format!("d:{}:{}", t.as_micros(), node.0),
-                Event::NodeCrash { node } => format!("c:{}:{}", t.as_micros(), node.0),
-                Event::PartitionStart { partition } => format!("ps:{}:{partition}", t.as_micros()),
-                Event::PartitionEnd { partition } => format!("pe:{}:{partition}", t.as_micros()),
-            };
-            fnv(&mut log_hash, desc.as_bytes());
-            log_len += 1;
-            sw.dispatch(eng, ev);
-        }
-    };
-    drive(&mut eng, &mut sw, Time(T0));
+    .build();
+    let mut log = EventLog::new();
+    drive_logged(&mut eng, &mut sw, T0, &mut log);
     assert_eq!(sw.overlay.num_joined(), N);
     sw.inject_query(
         &mut eng,
@@ -180,19 +56,19 @@ fn run_hedged(seed: u64, layout: LayoutKind, scheduler: SchedulerKind) -> RunRes
     // oracle (exactly-once, monotone progress, orphan-freedom, timer
     // hygiene, hedge accounting) must hold at every one.
     let oracle = ChaosOracle::new(N as u64);
-    for t in [650, 720, 800, 1000, 1500] {
-        drive(&mut eng, &mut sw, secs(t));
+    for t in CHECKPOINTS {
+        drive_logged(&mut eng, &mut sw, secs(t), &mut log);
         oracle.assert_clean(&sw, &eng);
     }
     RunResult {
-        log_hash,
-        log_len,
+        log,
         rows: sw.query(0).rows(),
         hedges_sent: sw.stats.hedges_sent,
         hedge_wins: sw.stats.hedge_wins,
         hedge_losses: sw.stats.hedge_losses,
         hedge_wasted_bytes: sw.stats.hedge_wasted_bytes,
         give_ups: sw.stats.dissem_give_ups,
+        report_hash: fnv_str(&format!("{:?}", eng.finish())),
     }
 }
 
@@ -206,7 +82,7 @@ proptest! {
     /// run replays bit-identically under the same seed.
     #[test]
     fn hedged_chaos_is_oracle_clean_and_deterministic(seed in 0u64..10_000) {
-        let a = run_hedged(seed, LayoutKind::Arena, SchedulerKind::Wheel);
+        let a = run_hedged(seed);
         prop_assert!(a.rows <= N as u64, "exactly-once violated: {} rows", a.rows);
         prop_assert!(
             a.rows * 2 >= N as u64,
@@ -221,34 +97,45 @@ proptest! {
         if a.hedges_sent == 0 {
             prop_assert_eq!(a.hedge_wasted_bytes, 0);
         }
-        let b = run_hedged(seed, LayoutKind::Arena, SchedulerKind::Wheel);
-        prop_assert_eq!(a.log_hash, b.log_hash, "same-seed replay diverged");
-        prop_assert_eq!(a.log_len, b.log_len);
-        prop_assert_eq!(a.rows, b.rows);
-        prop_assert_eq!(a.hedges_sent, b.hedges_sent);
+        let b = run_hedged(seed);
+        prop_assert_eq!(a, b, "same-seed replay diverged");
     }
 }
 
 /// A pinned seed where the chaos plan actually provokes hedges, so the
 /// machinery is known-exercised (the proptest above would also pass on
-/// seeds where every reply beats the hedge delay). Also checks both
-/// hot-state layouts agree with hedging on.
+/// seeds where every reply beats the hedge delay), held to the
+/// fingerprint captured when the binary-heap scheduler and the
+/// `BTreeMap` hot-state layout still existed and agreed with it.
 #[test]
-fn hedges_fire_under_chaos_and_layouts_agree() {
-    let map = run_hedged(7, LayoutKind::Map, SchedulerKind::Wheel);
-    let arena = run_hedged(7, LayoutKind::Arena, SchedulerKind::Wheel);
+fn hedges_fire_under_chaos_and_match_golden() {
+    let run = run_hedged(7);
     assert!(
-        map.hedges_sent > 0,
+        run.hedges_sent > 0,
         "seed 7 chaos plan provoked no hedges — the machinery never ran"
     );
-    assert_eq!(
-        map.log_hash, arena.log_hash,
-        "layouts diverged with hedging on"
+    let got = (
+        run.log.hash,
+        run.log.len,
+        run.rows,
+        run.hedges_sent,
+        run.hedge_wins,
+        run.hedge_losses,
+        run.give_ups,
+        run.report_hash,
     );
-    assert_eq!(map.log_len, arena.log_len);
-    assert_eq!(map.rows, arena.rows);
-    assert_eq!(map.hedges_sent, arena.hedges_sent);
-    assert_eq!(map.hedge_wins, arena.hedge_wins);
-    assert_eq!(map.hedge_losses, arena.hedge_losses);
-    assert_eq!(map.give_ups, arena.give_ups);
+    assert_eq!(got, GOLDEN_SEED_7, "hedged run diverged: {got:#x?}");
 }
+
+/// `(log_hash, log_len, rows, hedges_sent, hedge_wins, hedge_losses,
+/// give_ups, report_hash)` of `run_hedged(7)`.
+const GOLDEN_SEED_7: (u64, u64, u64, u64, u64, u64, u64, u64) = (
+    0x05fb_33dc_2a02_bcca,
+    6072,
+    36,
+    31,
+    3,
+    0,
+    14,
+    0xf182_fa88_72a5_d023,
+);

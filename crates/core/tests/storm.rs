@@ -7,9 +7,8 @@
 //!   same rows, same bandwidth report. The storm machinery may only
 //!   change behaviour when queries actually contend.
 //! * K concurrent queries must each converge to the same rows they get
-//!   when run alone (same seed), across Map × Arena layouts and both
-//!   scheduler backends — fair scheduling may reorder work but must
-//!   never lose or duplicate contributions.
+//!   when run alone (same seed) — fair scheduling may reorder work but
+//!   must never lose or duplicate contributions.
 //! * Under the full chaos plan with slot-recycling pressure the run
 //!   must stay oracle-clean (exactly-once, predictor sanity, storm
 //!   hygiene) and be bit-stable across repeated runs, for 16 seeds.
@@ -17,21 +16,19 @@
 //!   be rejected at the message boundary (`stale_handle_drops`), leaving
 //!   the slot's new tenant untouched.
 
+mod common;
+
+use common::{drive, drive_logged, fnv_str, secs, EventLog, World, CHECKPOINTS, N, T0};
 use proptest::prelude::*;
 use seaweed_core::{
     ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine, SeaweedMsg, StormConfig,
     Submission,
 };
-use seaweed_overlay::{LayoutKind, Overlay, OverlayConfig, OverlayMsg};
-use seaweed_sim::{
-    CorpNetTopology, CrashSpec, Engine, Event, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec,
-    PartitionSpec, Payload, SchedulerKind, SimConfig,
-};
-use seaweed_store::{AggFunc, Aggregate, ColumnDef, DataType, Schema, Table, Value};
-use seaweed_types::{Duration, Time};
+use seaweed_overlay::OverlayMsg;
+use seaweed_sim::{Event, NodeIdx, Payload};
+use seaweed_store::{AggFunc, Aggregate, Schema};
+use seaweed_types::Duration;
 
-const N: usize = 36;
-const ROUTERS: usize = 24;
 /// Rows per endsystem fragment, all matching every test predicate.
 /// More than one row so that `quantum_rows: 1` storm configs force a
 /// scan through multiple preemption quanta (exercising the slicing
@@ -39,175 +36,27 @@ const ROUTERS: usize = 24;
 const ROWS_PER_NODE: usize = 3;
 /// Ground-truth matching rows across the population.
 const TOTAL_ROWS: u64 = (N * ROWS_PER_NODE) as u64;
-/// Query injection time; all fault windows are anchored after it.
-const T0: u64 = 600_000_000; // 600 s in µs
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
-/// The chaos.rs fault plan, verbatim: cut the largest regional subtree,
-/// amnesia-outage the biggest branch, degrade one router pair, crash two
-/// bystanders.
-fn chaos_plan(topo: &CorpNetTopology) -> FaultPlan {
-    let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
-    let branch = topo
-        .branch_routers()
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
-    let excluded: Vec<u32> = partition
-        .members
-        .iter()
-        .chain(outage.members.iter())
-        .copied()
-        .collect();
-    let bystanders: Vec<u32> = (1..N as u32)
-        .filter(|m| !excluded.contains(m))
-        .take(2)
-        .collect();
-    let crashes = vec![
-        CrashSpec {
-            node: NodeIdx(bystanders[0]),
-            at: secs(630),
-            rejoin_after: Duration::from_secs(60),
-        },
-        CrashSpec {
-            node: NodeIdx(bystanders[1]),
-            at: secs(690),
-            rejoin_after: Duration::from_secs(45),
-        },
-    ];
-    let za = topo.router_of(NodeIdx(1)) as u32;
-    let mut zb = topo.router_of(NodeIdx(2)) as u32;
-    if zb == za {
-        zb = topo.router_of(NodeIdx(3)) as u32;
-    }
-    FaultPlan {
-        partitions: vec![partition],
-        link_faults: vec![LinkFaultSpec {
-            zone_a: za,
-            zone_b: zb,
-            from: secs(600),
-            until: secs(720),
-            extra_loss: 0.15,
-            latency_mult: 3.0,
-        }],
-        crashes,
-        outages: vec![outage],
-        dup_rate: 0.02,
-        reorder_window: Duration::from_millis(50),
-    }
-}
-
-struct WorldSpec {
+/// The storm world: `chaos` adds the full fault plan and 1% loss.
+fn world(
     seed: u64,
-    layout: LayoutKind,
-    scheduler: SchedulerKind,
     storm: Option<StormConfig>,
     chaos: bool,
-}
-
-fn world(spec: &WorldSpec) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(N);
-    for node in 0..N {
-        let mut t = Table::new(schema.clone());
-        for r in 0..ROWS_PER_NODE {
-            t.insert(vec![Value::Int(1), Value::Int((node + r) as i64 + 1)])
-                .unwrap();
-        }
-        tables.push(t);
-    }
-    let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, spec.seed);
-    let faults = spec.chaos.then(|| chaos_plan(&topo));
-    let eng: SeaweedEngine = Engine::new(
-        Box::new(topo),
-        SimConfig {
-            seed: spec.seed,
-            scheduler: spec.scheduler,
-            loss_rate: if spec.chaos { 0.01 } else { 0.0 },
-            faults,
-            ..SimConfig::default()
+) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
+    World {
+        rows_per_node: ROWS_PER_NODE,
+        chaos,
+        seaweed: SeaweedConfig {
+            storm,
+            ..SeaweedConfig::default()
         },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(N, spec.seed),
-        OverlayConfig {
-            seed: spec.seed,
-            layout: spec.layout,
-            ..Default::default()
-        },
-    );
-    let sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
-        SeaweedConfig {
-            seed: spec.seed,
-            storm: spec.storm.clone(),
-            ..Default::default()
-        },
-    );
-    (eng, sw, schema)
-}
-
-fn boot(eng: &mut SeaweedEngine) {
-    for i in 0..N {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
+        ..World::new(seed)
     }
-}
-
-fn drive(eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time) {
-    while let Some((_, ev)) = eng.next_event_before(horizon) {
-        sw.dispatch(eng, ev);
-    }
-}
-
-/// FNV-1a fingerprint over a compact per-event descriptor (ordering,
-/// endpoints and timestamps pin the schedule bit-for-bit).
-struct EventLog {
-    hash: u64,
-    len: u64,
-}
-
-impl EventLog {
-    fn new() -> Self {
-        EventLog {
-            hash: 0xcbf2_9ce4_8422_2325,
-            len: 0,
-        }
-    }
-
-    fn add(&mut self, t: Time, ev: &Event<OverlayMsg<SeaweedMsg>>) {
-        let desc = match *ev {
-            Event::Message { from, to, .. } => format!("m:{}:{}:{}", t.as_micros(), from.0, to.0),
-            Event::Timer { node, tag } => format!("t:{}:{}:{tag}", t.as_micros(), node.0),
-            Event::NodeUp { node } => format!("u:{}:{}", t.as_micros(), node.0),
-            Event::NodeDown { node } => format!("d:{}:{}", t.as_micros(), node.0),
-            Event::NodeCrash { node } => format!("c:{}:{}", t.as_micros(), node.0),
-            Event::PartitionStart { partition } => format!("ps:{}:{partition}", t.as_micros()),
-            Event::PartitionEnd { partition } => format!("pe:{}:{partition}", t.as_micros()),
-        };
-        for b in desc.as_bytes() {
-            self.hash ^= u64::from(*b);
-            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
-        }
-        self.len += 1;
-    }
+    .build()
 }
 
 struct ChaosRun {
-    log_hash: u64,
-    log_len: u64,
+    log: EventLog,
     rows: u64,
     violations: Vec<String>,
     report: String,
@@ -217,23 +66,16 @@ struct ChaosRun {
 /// `storm: Some(..)` the query goes through `submit_query`; otherwise
 /// through the baseline `inject_query`. Used for the K=1 byte-identity
 /// bar.
-fn run_chaos_single(spec: &WorldSpec) -> ChaosRun {
-    let (mut eng, mut sw, schema) = world(spec);
-    boot(&mut eng);
+fn run_chaos_single(seed: u64, storm: Option<StormConfig>) -> ChaosRun {
+    let storm_on = storm.is_some();
+    let (mut eng, mut sw, schema) = world(seed, storm, true);
     let mut log = EventLog::new();
-    let mut drive_logged =
-        |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-            while let Some((t, ev)) = eng.next_event_before(horizon) {
-                log.add(t, &ev);
-                sw.dispatch(eng, ev);
-            }
-        };
-    drive_logged(&mut eng, &mut sw, Time(T0));
+    drive_logged(&mut eng, &mut sw, T0, &mut log);
     assert_eq!(sw.overlay.num_joined(), N, "all join before the faults");
 
     let sql = "SELECT SUM(v) FROM T WHERE flag = 1";
     let ttl = Duration::from_hours(4);
-    let h = if spec.storm.is_some() {
+    let h = if storm_on {
         match sw
             .submit_query(&mut eng, NodeIdx(0), sql, ttl, &schema)
             .unwrap()
@@ -248,55 +90,59 @@ fn run_chaos_single(spec: &WorldSpec) -> ChaosRun {
 
     let oracle = ChaosOracle::new(TOTAL_ROWS);
     let mut violations = Vec::new();
-    for t in [650, 720, 800, 1000, 1500] {
-        drive_logged(&mut eng, &mut sw, secs(t));
+    for t in CHECKPOINTS {
+        drive_logged(&mut eng, &mut sw, secs(t), &mut log);
         violations.extend(oracle.check(&sw, &eng));
     }
 
     ChaosRun {
-        log_hash: log.hash,
-        log_len: log.len,
+        log,
         rows: sw.query(h).rows(),
         violations,
         report: format!("{:?}", eng.finish()),
     }
 }
 
+/// `(seed, log_hash, log_len, rows, report_hash)` of the K=1 baseline
+/// run, captured when the binary-heap scheduler still existed and
+/// matched the timer wheel on it.
+const K1_GOLDENS: [(u64, u64, u64, u64, u64); 2] = [
+    (3, 0xa00c_0c63_98b6_2ed7, 5695, 108, 0x3e5e_1130_86a9_b4d4),
+    (17, 0xc543_4e43_89b5_4e5e, 5936, 108, 0x850f_97ae_3367_3093),
+];
+
 /// Tentpole gate: a 1-query storm takes the exact baseline code path —
 /// event-for-event. Any divergence means storm mode perturbs the
 /// uncontended protocol.
 #[test]
 fn k1_storm_is_byte_identical_to_baseline() {
-    for seed in [3u64, 17] {
-        for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let base = run_chaos_single(&WorldSpec {
-                seed,
-                layout: LayoutKind::Arena,
-                scheduler,
-                storm: None,
-                chaos: true,
-            });
-            let storm = run_chaos_single(&WorldSpec {
-                seed,
-                layout: LayoutKind::Arena,
-                scheduler,
-                storm: Some(StormConfig::default()),
-                chaos: true,
-            });
-            assert!(base.violations.is_empty(), "{:?}", base.violations);
-            assert!(storm.violations.is_empty(), "{:?}", storm.violations);
-            assert_eq!(
-                base.log_hash, storm.log_hash,
-                "K=1 storm event log diverged from baseline (seed {seed}, {scheduler:?})"
-            );
-            assert_eq!(base.log_len, storm.log_len);
-            assert_eq!(base.rows, storm.rows);
-            assert_eq!(
-                base.report, storm.report,
-                "bandwidth reports diverged (seed {seed}, {scheduler:?})"
-            );
-        }
+    let mut got = Vec::new();
+    for (seed, ..) in K1_GOLDENS {
+        let base = run_chaos_single(seed, None);
+        let storm = run_chaos_single(seed, Some(StormConfig::default()));
+        assert!(base.violations.is_empty(), "{:?}", base.violations);
+        assert!(storm.violations.is_empty(), "{:?}", storm.violations);
+        assert_eq!(
+            base.log, storm.log,
+            "K=1 storm event log diverged from baseline (seed {seed})"
+        );
+        assert_eq!(base.rows, storm.rows);
+        assert_eq!(
+            base.report, storm.report,
+            "bandwidth reports diverged (seed {seed})"
+        );
+        got.push((
+            seed,
+            base.log.hash,
+            base.log.len,
+            base.rows,
+            fnv_str(&base.report),
+        ));
     }
+    assert_eq!(
+        got, K1_GOLDENS,
+        "K=1 runs diverged from the goldens: {got:#x?}"
+    );
 }
 
 /// Per-query distinct predicates that all match every row (one row per
@@ -310,138 +156,122 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Fair-scheduling correctness: K queries run concurrently see
-    /// exactly the rows each sees alone (same seed), across layouts and
-    /// scheduler backends. The scan scheduler may interleave and batch
-    /// work but must never lose or duplicate a contribution.
+    /// exactly the rows each sees alone (same seed). The scan scheduler
+    /// may interleave and batch work but must never lose or duplicate a
+    /// contribution.
     #[test]
     fn concurrent_queries_match_solo_rows(seed in 0u64..10_000, k in 2usize..6) {
-        for layout in [LayoutKind::Map, LayoutKind::Arena] {
-            for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-                let spec = WorldSpec {
-                    seed,
-                    layout,
-                    scheduler,
-                    storm: Some(StormConfig {
-                        // Tight quanta so contended endsystems actually
-                        // slice and share scans at this tiny scale.
-                        quantum_rows: 1,
-                        max_batch: 4,
-                        ..StormConfig::default()
-                    }),
-                    chaos: false,
-                };
-                // Concurrent: all K injected back-to-back at T0.
-                let (mut eng, mut sw, schema) = world(&spec);
-                boot(&mut eng);
-                drive(&mut eng, &mut sw, Time(T0));
-                let mut handles = Vec::new();
-                for i in 0..k {
-                    let sub = sw
-                        .submit_query(
-                            &mut eng,
-                            NodeIdx((i % N) as u32),
-                            &storm_sql(i),
-                            Duration::from_hours(4),
-                            &schema,
-                        )
-                        .unwrap();
-                    match sub {
-                        Submission::Admitted(h) => handles.push(h),
-                        Submission::Queued(t) => panic!("K<{k} under budget queued ({t})"),
-                    }
-                }
-                drive(&mut eng, &mut sw, secs(1800));
-                let oracle = ChaosOracle::new(TOTAL_ROWS);
-                oracle.assert_clean(&sw, &eng);
-                let together: Vec<u64> =
-                    handles.iter().map(|&h| sw.query(h).rows()).collect();
-
-                // Alone: each query in a fresh world, same seed.
-                for (i, &rows_together) in together.iter().enumerate() {
-                    let (mut eng, mut sw, schema) = world(&spec);
-                    boot(&mut eng);
-                    drive(&mut eng, &mut sw, Time(T0));
-                    let Submission::Admitted(h) = sw
-                        .submit_query(
-                            &mut eng,
-                            NodeIdx((i % N) as u32),
-                            &storm_sql(i),
-                            Duration::from_hours(4),
-                            &schema,
-                        )
-                        .unwrap()
-                    else {
-                        panic!("solo submission queued")
-                    };
-                    drive(&mut eng, &mut sw, secs(1800));
-                    prop_assert_eq!(
-                        rows_together,
-                        sw.query(h).rows(),
-                        "query {} sees different rows under contention \
-                         (seed {}, k {}, {:?}, {:?})",
-                        i, seed, k, layout, scheduler
-                    );
-                }
+        // Tight quanta so contended endsystems actually slice and share
+        // scans at this tiny scale.
+        let storm = StormConfig {
+            quantum_rows: 1,
+            max_batch: 4,
+            ..StormConfig::default()
+        };
+        // Concurrent: all K injected back-to-back at T0.
+        let (mut eng, mut sw, schema) = world(seed, Some(storm.clone()), false);
+        drive(&mut eng, &mut sw, T0);
+        let mut handles = Vec::new();
+        for i in 0..k {
+            let sub = sw
+                .submit_query(
+                    &mut eng,
+                    NodeIdx((i % N) as u32),
+                    &storm_sql(i),
+                    Duration::from_hours(4),
+                    &schema,
+                )
+                .unwrap();
+            match sub {
+                Submission::Admitted(h) => handles.push(h),
+                Submission::Queued(t) => panic!("K<{k} under budget queued ({t})"),
             }
+        }
+        drive(&mut eng, &mut sw, secs(1800));
+        let oracle = ChaosOracle::new(TOTAL_ROWS);
+        oracle.assert_clean(&sw, &eng);
+        let together: Vec<u64> = handles.iter().map(|&h| sw.query(h).rows()).collect();
+
+        // Alone: each query in a fresh world, same seed.
+        for (i, &rows_together) in together.iter().enumerate() {
+            let (mut eng, mut sw, schema) = world(seed, Some(storm.clone()), false);
+            drive(&mut eng, &mut sw, T0);
+            let Submission::Admitted(h) = sw
+                .submit_query(
+                    &mut eng,
+                    NodeIdx((i % N) as u32),
+                    &storm_sql(i),
+                    Duration::from_hours(4),
+                    &schema,
+                )
+                .unwrap()
+            else {
+                panic!("solo submission queued")
+            };
+            drive(&mut eng, &mut sw, secs(1800));
+            prop_assert_eq!(
+                rows_together,
+                sw.query(h).rows(),
+                "query {} sees different rows under contention (seed {}, k {})",
+                i, seed, k
+            );
         }
     }
 }
 
+/// FNV hash over the `Debug` rendering of all sixteen per-seed
+/// `(log, admitted tickets)` fingerprints below.
+const SIXTEEN_SEED_GOLDEN: u64 = 0x7ce9_6a46_ddd0_5aa1;
+
 /// Chaos under storm pressure, 16 seeds: a burst of queries exceeding a
 /// small in-flight budget (forcing queueing, slot recycling and
-/// generation bumps mid-chaos) must stay oracle-clean, and each seed's
-/// run must be bit-stable — the same fingerprint twice.
+/// generation bumps mid-chaos) must stay oracle-clean, each seed's run
+/// must be bit-stable — the same fingerprint twice — and the sixteen
+/// fingerprints must match the golden.
 #[test]
 fn sixteen_seed_chaos_storm_is_clean_and_stable() {
-    for seed in 0u64..16 {
-        let fingerprint = |seed: u64| -> (u64, u64, Vec<u64>) {
-            let spec = WorldSpec {
-                seed,
-                layout: LayoutKind::Arena,
-                scheduler: SchedulerKind::Wheel,
-                storm: Some(StormConfig {
-                    max_in_flight: 4,
-                    quantum_rows: 1,
-                    ..StormConfig::default()
-                }),
-                chaos: true,
-            };
-            let (mut eng, mut sw, schema) = world(&spec);
-            boot(&mut eng);
-            let mut log = EventLog::new();
-            let mut drive_logged =
-                |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-                    while let Some((t, ev)) = eng.next_event_before(horizon) {
-                        log.add(t, &ev);
-                        sw.dispatch(eng, ev);
-                    }
-                };
-            drive_logged(&mut eng, &mut sw, Time(T0));
-            // 8 queries against a budget of 4: half park in the
-            // admission queue; short TTLs force expiry → release →
-            // admission churn across the fault windows.
-            for i in 0..8 {
-                let ttl = Duration::from_secs(120 + 60 * i as u64);
-                sw.submit_query(&mut eng, NodeIdx(0), &storm_sql(i), ttl, &schema)
-                    .unwrap();
-            }
-            let oracle = ChaosOracle::new(TOTAL_ROWS);
-            for t in [650, 720, 800, 1000, 1500] {
-                drive_logged(&mut eng, &mut sw, secs(t));
-                let v = oracle.check(&sw, &eng);
-                assert!(
-                    v.is_empty(),
-                    "oracle violations (seed {seed}, t {t}):\n  {}",
-                    v.join("\n  ")
-                );
-            }
-            let admitted: Vec<u64> = sw.drain_admissions().iter().map(|&(t, _)| t).collect();
-            (log.hash, log.len, admitted)
+    let fingerprint = |seed: u64| -> (EventLog, Vec<u64>) {
+        let storm = StormConfig {
+            max_in_flight: 4,
+            quantum_rows: 1,
+            ..StormConfig::default()
         };
+        let (mut eng, mut sw, schema) = world(seed, Some(storm), true);
+        let mut log = EventLog::new();
+        drive_logged(&mut eng, &mut sw, T0, &mut log);
+        // 8 queries against a budget of 4: half park in the admission
+        // queue; short TTLs force expiry → release → admission churn
+        // across the fault windows.
+        for i in 0..8 {
+            let ttl = Duration::from_secs(120 + 60 * i as u64);
+            sw.submit_query(&mut eng, NodeIdx(0), &storm_sql(i), ttl, &schema)
+                .unwrap();
+        }
+        let oracle = ChaosOracle::new(TOTAL_ROWS);
+        for t in CHECKPOINTS {
+            drive_logged(&mut eng, &mut sw, secs(t), &mut log);
+            let v = oracle.check(&sw, &eng);
+            assert!(
+                v.is_empty(),
+                "oracle violations (seed {seed}, t {t}):\n  {}",
+                v.join("\n  ")
+            );
+        }
+        let admitted: Vec<u64> = sw.drain_admissions().iter().map(|&(t, _)| t).collect();
+        (log, admitted)
+    };
+    let mut all = Vec::new();
+    for seed in 0u64..16 {
         let a = fingerprint(seed);
         let b = fingerprint(seed);
         assert_eq!(a, b, "chaos storm not bit-stable (seed {seed})");
+        all.push(a);
     }
+    let got = fnv_str(&format!("{all:?}"));
+    assert_eq!(
+        got, SIXTEEN_SEED_GOLDEN,
+        "fingerprints diverged ({got:#x}): {all:#x?}"
+    );
 }
 
 /// Satellite-1 regression: expire query A, let its slot recycle into
@@ -450,16 +280,8 @@ fn sixteen_seed_chaos_storm_is_clean_and_stable() {
 /// (`stale_handle_drops`), and B must be untouched.
 #[test]
 fn stale_reply_to_recycled_slot_is_dropped() {
-    let spec = WorldSpec {
-        seed: 11,
-        layout: LayoutKind::Arena,
-        scheduler: SchedulerKind::Wheel,
-        storm: Some(StormConfig::default()),
-        chaos: false,
-    };
-    let (mut eng, mut sw, schema) = world(&spec);
-    boot(&mut eng);
-    drive(&mut eng, &mut sw, Time(T0));
+    let (mut eng, mut sw, schema) = world(11, Some(StormConfig::default()), false);
+    drive(&mut eng, &mut sw, T0);
 
     // Query A: short TTL so it expires and releases its slot.
     let Submission::Admitted(h_a) = sw
@@ -536,19 +358,12 @@ fn stale_reply_to_recycled_slot_is_dropped() {
 /// and promotes them in order as retirements free slots.
 #[test]
 fn admission_queue_promotes_in_ticket_order() {
-    let spec = WorldSpec {
-        seed: 5,
-        layout: LayoutKind::Map,
-        scheduler: SchedulerKind::Wheel,
-        storm: Some(StormConfig {
-            max_in_flight: 2,
-            ..StormConfig::default()
-        }),
-        chaos: false,
+    let storm = StormConfig {
+        max_in_flight: 2,
+        ..StormConfig::default()
     };
-    let (mut eng, mut sw, schema) = world(&spec);
-    boot(&mut eng);
-    drive(&mut eng, &mut sw, Time(T0));
+    let (mut eng, mut sw, schema) = world(5, Some(storm), false);
+    drive(&mut eng, &mut sw, T0);
 
     let mut admitted = Vec::new();
     let mut queued = Vec::new();

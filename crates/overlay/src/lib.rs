@@ -48,4 +48,4 @@ pub use overlay::{
     is_overlay_tag, Overlay, OverlayConfig, OverlayEngine, OverlayEvent, OverlayMsg, OverlayStats,
     SelectionKind,
 };
-pub use ring::{LayoutKind, RingIndex};
+pub use ring::RingIndex;

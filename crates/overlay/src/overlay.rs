@@ -1,6 +1,6 @@
 //! The overlay orchestrator: join, leafset maintenance, prefix routing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -8,7 +8,7 @@ use seaweed_sim::{Engine, NodeIdx, TimerHandle, TrafficClass};
 use seaweed_types::{Duration, Id, IdRange};
 
 use crate::node::NodeState;
-use crate::ring::{LayoutKind, RingIndex};
+use crate::ring::RingIndex;
 use crate::wire;
 
 /// Engine type every overlay-based application runs on.
@@ -48,11 +48,6 @@ pub struct OverlayConfig {
     /// Seed for id assignment jitter-free operations (bootstrap pick,
     /// detection jitter).
     pub seed: u64,
-    /// Hot-state container layout, for this crate's ring and the
-    /// protocol layer's per-query registries (which read it via
-    /// [`Overlay::config`]). `Map` retains the original BTreeMap
-    /// containers as the equivalence-test baseline.
-    pub layout: LayoutKind,
     /// Replica-selection policy consulted by [`Overlay::select_cover`].
     /// `IdOrder` preserves pre-hedging behaviour bit-for-bit.
     pub selection: SelectionKind,
@@ -67,7 +62,6 @@ impl Default for OverlayConfig {
             detect_delay: Duration::from_secs(40),
             leafset_refresh: Duration::from_secs(60),
             seed: 0,
-            layout: LayoutKind::default(),
             selection: SelectionKind::default(),
         }
     }
@@ -176,13 +170,9 @@ pub struct Overlay {
     nodes: Vec<NodeState>,
     /// Ground truth of *joined, live* nodes (the oracle used for
     /// membership convergence; see crate docs): the sorted-vec universe
-    /// plus a live bitset. Maintained under every layout — its
-    /// membership-ignoring range scans serve the protocol layer in both.
+    /// plus a live bitset. Its membership-ignoring range scans also
+    /// serve the protocol layer.
     index: RingIndex,
-    /// Retained map baseline, populated and consulted only under
-    /// [`LayoutKind::Map`]; the layout-equivalence proptest pins the two
-    /// walk implementations byte-identical.
-    ring_map: Option<BTreeMap<u128, NodeIdx>>,
     /// Joined live nodes as a dense list for O(1) random bootstrap picks.
     joined_list: Vec<NodeIdx>,
     joined_pos: Vec<usize>,
@@ -223,14 +213,12 @@ impl Overlay {
             .collect();
         let n = ids.len();
         let index = RingIndex::new(&ids);
-        let ring_map = (cfg.layout == LayoutKind::Map).then(BTreeMap::new);
         Overlay {
             rng: StdRng::seed_from_u64(cfg.seed ^ OVERLAY_STREAM),
             cfg,
             ids,
             nodes,
             index,
-            ring_map,
             joined_list: Vec::new(),
             joined_pos: vec![NO_POS; n],
             listed_by: vec![BTreeSet::new(); n],
@@ -344,7 +332,7 @@ impl Overlay {
             }
         }
         // Include an exact-id match if present (ring_neighbors skip it).
-        if let Some(exact) = self.ring_get(id.0) {
+        if let Some(exact) = self.index.get_live(id.0) {
             if !cands.contains(&exact) {
                 cands.push(exact);
             }
@@ -394,7 +382,7 @@ impl Overlay {
     /// path).
     #[must_use]
     pub fn oracle_root(&self, key: Id) -> Option<NodeIdx> {
-        if let Some(exact) = self.ring_get(key.0) {
+        if let Some(exact) = self.index.get_live(key.0) {
             return Some(exact);
         }
         let mut best: Option<NodeIdx> = None;
@@ -457,9 +445,6 @@ impl Overlay {
         let was_joined = self.nodes[n.idx()].joined;
         if was_joined {
             self.index.remove(n);
-            if let Some(map) = &mut self.ring_map {
-                map.remove(&self.ids[n.idx()].0);
-            }
             let pos = self.joined_pos[n.idx()];
             if pos != NO_POS {
                 self.joined_list.swap_remove(pos);
@@ -856,9 +841,6 @@ impl Overlay {
         self.rebuild_leafset_where(n, &|m| eng.reachable(n, m));
         self.nodes[n.idx()].joined = true;
         self.index.insert(n);
-        if let Some(map) = &mut self.ring_map {
-            map.insert(self.ids[n.idx()].0, n);
-        }
         self.joined_pos[n.idx()] = self.joined_list.len();
         self.joined_list.push(n);
 
@@ -975,19 +957,11 @@ impl Overlay {
         changed
     }
 
-    /// The live ring index (always maintained, whatever the layout).
-    /// The protocol layer uses its universe scans for range enumeration.
+    /// The live ring index. The protocol layer uses its universe scans
+    /// for range enumeration.
     #[must_use]
     pub fn ring_index(&self) -> &RingIndex {
         &self.index
-    }
-
-    /// Exact live lookup, dispatched on the configured layout.
-    fn ring_get(&self, key: u128) -> Option<NodeIdx> {
-        match &self.ring_map {
-            Some(map) => map.get(&key).copied(),
-            None => self.index.get_live(key),
-        }
     }
 
     /// Takes the first `count` walk results that are not the exact key
@@ -1026,17 +1000,7 @@ impl Overlay {
         if self.index.live_count() == 0 || count == 0 {
             return Vec::new();
         }
-        match &self.ring_map {
-            Some(map) => self.take_neighbors(
-                map.range((id.0.wrapping_add(1))..)
-                    .chain(map.range(..=id.0))
-                    .map(|(_, &n)| n),
-                id,
-                count,
-                keep,
-            ),
-            None => self.take_neighbors(self.index.cw_live_from(id), id, count, keep),
-        }
+        self.take_neighbors(self.index.cw_live_from(id), id, count, keep)
     }
 
     fn ring_neighbors_ccw(&self, id: Id, count: usize) -> Vec<NodeIdx> {
@@ -1052,18 +1016,7 @@ impl Overlay {
         if self.index.live_count() == 0 || count == 0 {
             return Vec::new();
         }
-        match &self.ring_map {
-            Some(map) => self.take_neighbors(
-                map.range(..id.0)
-                    .rev()
-                    .chain(map.range(id.0..).rev())
-                    .map(|(_, &n)| n),
-                id,
-                count,
-                keep,
-            ),
-            None => self.take_neighbors(self.index.ccw_live_from(id), id, count, keep),
-        }
+        self.take_neighbors(self.index.ccw_live_from(id), id, count, keep)
     }
 
     fn update_heartbeat_rate<A: Clone>(&self, eng: &mut OverlayEngine<A>, n: NodeIdx) {

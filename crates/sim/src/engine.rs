@@ -19,12 +19,9 @@
 //! scheduled (a monotone sequence number breaks ties), and all randomness
 //! (message loss) comes from a seeded RNG.
 //!
-//! Two event-queue implementations exist behind [`SchedulerKind`]: a
-//! hierarchical timer wheel (the default — O(1) schedule/cancel, no
-//! comparison sorting) and the original binary heap (kept as a baseline
-//! for equivalence testing and benchmarking). Both deliver the exact same
-//! `(time, seq)` total order, so a fixed seed produces byte-identical runs
-//! under either.
+//! The event queue is a hierarchical timer wheel: O(1) schedule and
+//! cancel, no comparison sorting, and delivery in exact `(time, seq)`
+//! order — the order every golden fingerprint in the test suites pins.
 //!
 //! Timers are first-class cancellable: [`Engine::set_timer`] returns a
 //! [`TimerHandle`], [`Engine::cancel_timer`] disarms it, and every timer a
@@ -34,8 +31,7 @@
 //! timers that must survive churn (e.g. a query's TTL at its origin) use
 //! [`Engine::set_detached_timer`].
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -282,34 +278,6 @@ struct Queued<M> {
     pending: Pending<M>,
 }
 
-impl<M> PartialEq for Queued<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Queued<M> {}
-impl<M> PartialOrd for Queued<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Queued<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Which event-queue implementation the engine runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical timer wheel: O(1) schedule and cancel.
-    #[default]
-    Wheel,
-    /// Binary min-heap: the original implementation, kept as an
-    /// equivalence/benchmark baseline.
-    Heap,
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -320,8 +288,6 @@ pub struct SimConfig {
     pub loss_rate: f64,
     /// Collect per-(node,hour) bandwidth samples for CDFs (Figure 9(b)).
     pub collect_cdf: bool,
-    /// Event-queue implementation; both deliver identical event orders.
-    pub scheduler: SchedulerKind,
     /// Optional deterministic fault schedule (partitions, link
     /// degradation, crash-amnesia, correlated outages, dup/reorder).
     /// `None` injects nothing and changes nothing.
@@ -338,7 +304,6 @@ impl Default for SimConfig {
             seed: 0,
             loss_rate: 0.0,
             collect_cdf: false,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             trace: None,
         }
@@ -364,7 +329,7 @@ const LEVELS: usize = 11;
 /// cascades toward level 0 as the cursor approaches it. A level-0 slot
 /// within the cursor's 64 µs window holds exactly one timestamp, so
 /// draining a slot and sorting it by sequence number yields the global
-/// `(time, seq)` delivery order the heap produced.
+/// `(time, seq)` delivery order.
 struct TimerWheel<M> {
     /// Time of the most recently drained slot; all stored entries have
     /// `at >= cursor`.
@@ -580,90 +545,6 @@ impl<M> TimerWheel<M> {
     }
 }
 
-// ------------------------------------------------------------------- heap
-
-/// The original binary-heap queue. Cancellation is lazy: cancelled
-/// sequence numbers are tombstoned and skipped at the head.
-struct HeapQueue<M> {
-    heap: BinaryHeap<Reverse<Queued<M>>>,
-    cancelled: SeqSet,
-}
-
-impl<M> HeapQueue<M> {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            cancelled: SeqSet::default(),
-        }
-    }
-
-    fn drop_cancelled_head(&mut self) {
-        while let Some(Reverse(q)) = self.heap.peek() {
-            if self.cancelled.is_empty() || !self.cancelled.contains(&q.seq) {
-                return;
-            }
-            let seq = q.seq;
-            self.heap.pop();
-            self.cancelled.remove(&seq);
-        }
-    }
-
-    fn push(&mut self, e: Queued<M>) {
-        self.heap.push(Reverse(e));
-    }
-
-    fn pop(&mut self) -> Option<Queued<M>> {
-        self.drop_cancelled_head();
-        self.heap.pop().map(|Reverse(q)| q)
-    }
-
-    fn peek_at(&mut self) -> Option<Time> {
-        self.drop_cancelled_head();
-        self.heap.peek().map(|Reverse(q)| q.at)
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        self.cancelled.insert(seq)
-    }
-}
-
-/// The event queue behind a static dispatch switch. Both variants
-/// deliver the identical `(time, seq)` total order.
-enum EventQueue<M> {
-    Wheel(TimerWheel<M>),
-    Heap(HeapQueue<M>),
-}
-
-impl<M> EventQueue<M> {
-    fn push(&mut self, e: Queued<M>) {
-        match self {
-            EventQueue::Wheel(w) => w.push(e),
-            EventQueue::Heap(h) => h.push(e),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Queued<M>> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop(),
-        }
-    }
-
-    fn peek_at(&mut self) -> Option<Time> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_at(),
-            EventQueue::Heap(h) => h.peek_at(),
-        }
-    }
-
-    fn cancel(&mut self, at: Time, seq: u64) -> bool {
-        match self {
-            EventQueue::Wheel(w) => w.cancel(at, seq),
-            EventQueue::Heap(h) => h.cancel(seq),
-        }
-    }
-}
-
 // ----------------------------------------------------------------- engine
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -706,7 +587,7 @@ impl TimerHandle {
 pub struct Engine<M> {
     now: Time,
     seq: u64,
-    queue: EventQueue<M>,
+    queue: TimerWheel<M>,
     topo: Box<dyn Topology>,
     up: Vec<bool>,
     /// Live node indices, ordered — keeps `num_up`/`up_nodes` O(live)
@@ -781,10 +662,7 @@ impl<M> Engine<M> {
         let mut e = Engine {
             now: Time::ZERO,
             seq: 0,
-            queue: match config.scheduler {
-                SchedulerKind::Wheel => EventQueue::Wheel(TimerWheel::new()),
-                SchedulerKind::Heap => EventQueue::Heap(HeapQueue::new()),
-            },
+            queue: TimerWheel::new(),
             topo,
             up: vec![false; n],
             live: BTreeSet::new(),
@@ -1205,8 +1083,8 @@ impl<M> Engine<M> {
     /// is empty. The partitioned executor ([`crate::exec`]) publishes
     /// this after each window to compute the global lower bound the next
     /// window may start from.
-    /// (`&mut` because the wheel scheduler advances its cursor lazily on
-    /// peek.)
+    /// (`&mut` because peeking purges cancelled entries from the slots it
+    /// inspects.)
     #[must_use]
     pub fn next_pending_at(&mut self) -> Option<Time> {
         self.queue.peek_at()
@@ -1515,19 +1393,13 @@ impl<M> Engine<M> {
 mod tests {
     use super::*;
     use crate::topology::UniformTopology;
-
-    fn engine_with(n: usize, latency_ms: u64, scheduler: SchedulerKind) -> Engine<&'static str> {
-        Engine::new(
-            Box::new(UniformTopology::new(n, Duration::from_millis(latency_ms))),
-            SimConfig {
-                scheduler,
-                ..SimConfig::default()
-            },
-        )
-    }
+    use rand::Rng;
 
     fn engine(n: usize, latency_ms: u64) -> Engine<&'static str> {
-        engine_with(n, latency_ms, SchedulerKind::Wheel)
+        Engine::new(
+            Box::new(UniformTopology::new(n, Duration::from_millis(latency_ms))),
+            SimConfig::default(),
+        )
     }
 
     fn drain(e: &mut Engine<&'static str>, horizon: Time) -> Vec<(Time, String)> {
@@ -1816,43 +1688,72 @@ mod tests {
         assert!(!e.is_up(NodeIdx(0)));
     }
 
-    /// The wheel and the heap must produce identical event sequences,
-    /// including ties, cascade boundaries and cancellations.
+    /// Model-based check of the wheel on its own: under a random mix of
+    /// pushes (same-instant ties, every wheel level, far-future entries),
+    /// cancellations and pops, every peek and pop agrees with a sorted
+    /// `(time, seq)` set, and the live count never drifts.
     #[test]
-    fn wheel_matches_heap_on_mixed_schedule() {
-        let run = |scheduler: SchedulerKind| -> Vec<(Time, String)> {
-            let mut e = engine_with(4, 3, scheduler);
-            for i in 0..4 {
-                e.schedule_up(Time::ZERO, NodeIdx(i));
-            }
-            // Spread timers across several wheel levels, with ties.
-            let mut handles = Vec::new();
-            for k in 0..200u64 {
-                let node = NodeIdx((k % 4) as u32);
-                let delay = Duration::from_micros((k * k * 37) % 5_000_000);
-                handles.push(e.set_timer(node, delay, k));
-                if k % 3 == 0 {
-                    e.set_timer(node, delay, 1_000 + k); // same-time tie
+    fn wheel_matches_sorted_model() {
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut wheel: TimerWheel<()> = TimerWheel::new();
+            let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+            let mut now = 0u64;
+            for seq in 0..4_000u64 {
+                match rng.gen_range(0u8..10) {
+                    0..=4 => {
+                        let at = now
+                            + match rng.gen_range(0u8..4) {
+                                0 => 0,
+                                1 => rng.gen_range(0..64),
+                                2 => rng.gen_range(0..300_000),
+                                _ => rng.gen_range(0..1u64 << 40),
+                            };
+                        let pending = Pending::Timer {
+                            node: NodeIdx(0),
+                            tag: seq,
+                        };
+                        wheel.push(Queued {
+                            at: Time(at),
+                            seq,
+                            pending,
+                        });
+                        model.insert((at, seq));
+                    }
+                    5 | 6 => {
+                        // Cancel the head (often already drained into the
+                        // current batch), the tail, or an entry near a
+                        // random probe time.
+                        let probe = (now + rng.gen_range(0..1u64 << 40), 0);
+                        let victim = match rng.gen_range(0u8..3) {
+                            0 => model.first().copied(),
+                            1 => model.last().copied(),
+                            _ => model.range(probe..).next().copied(),
+                        };
+                        if let Some((at, seq)) = victim {
+                            assert!(wheel.cancel(Time(at), seq), "seed {seed}");
+                            model.remove(&(at, seq));
+                        }
+                    }
+                    _ => {
+                        // Peek, then pop only when something is due —
+                        // the engine's own calling pattern.
+                        let head = model.first().map(|&(at, _)| Time(at));
+                        assert_eq!(wheel.peek_at(), head, "seed {seed}");
+                        if head.is_some() {
+                            let got = wheel.pop().map(|q| (q.at.0, q.seq));
+                            assert_eq!(got, model.pop_first(), "seed {seed}");
+                            now = got.map_or(now, |(at, _)| at);
+                        }
+                    }
                 }
+                assert_eq!(wheel.len, model.len(), "seed {seed}");
             }
-            for (i, h) in handles.iter().enumerate() {
-                if i % 5 == 0 {
-                    e.cancel_timer(*h);
-                }
+            while let Some(want) = model.pop_first() {
+                assert_eq!(wheel.pop().map(|q| (q.at.0, q.seq)), Some(want));
             }
-            e.schedule_down(Time(2_000_000), NodeIdx(2));
-            e.schedule_up(Time(3_500_000), NodeIdx(2));
-            let mut out = Vec::new();
-            // Drain in horizon slices to exercise peek/horizon paths.
-            for slice in 1..=10u64 {
-                out.extend(drain(&mut e, Time(slice * 600_000)));
-            }
-            out
-        };
-        let wheel = run(SchedulerKind::Wheel);
-        let heap = run(SchedulerKind::Heap);
-        assert_eq!(wheel.len(), heap.len());
-        assert_eq!(wheel, heap);
+            assert!(wheel.pop().is_none());
+        }
     }
 
     /// Long-delay timers cross multiple cascade levels and still fire in

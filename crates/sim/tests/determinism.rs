@@ -5,9 +5,11 @@
 //! and never reordering same-time events.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use seaweed_sim::{
     CrashSpec, Engine, Event, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec, PartitionSpec,
-    SchedulerKind, SimConfig, TraceConfig, TrafficClass, UniformTopology,
+    SimConfig, TraceConfig, TrafficClass, UniformTopology,
 };
 use seaweed_types::{Duration, Time};
 
@@ -43,11 +45,25 @@ fn actions() -> impl Strategy<Value = Vec<Action>> {
     )
 }
 
-fn run_script(script: &[Action], seed: u64) -> Vec<String> {
-    let mut eng = engine(8, seed, 0.0);
-    // Bring node 0 up first so timers can be armed from a live node.
-    eng.schedule_up(Time::ZERO, NodeIdx(0));
-    let _ = eng.next_event_before(Time(1));
+/// A fixed 50-action script drawn from `script_seed`, in the same value
+/// ranges as [`actions`]: the inputs the goldens are pinned on.
+fn fixed_script(script_seed: u64) -> Vec<Action> {
+    let mut rng = StdRng::seed_from_u64(script_seed);
+    (0..50)
+        .map(|_| {
+            let n = rng.gen_range(0u8..8);
+            let t = rng.gen_range(0u64..1_000_000);
+            match rng.gen_range(0u8..3) {
+                0 => Action::Up(n, t),
+                1 => Action::Down(n, t),
+                _ => Action::Timer(n, t, rng.gen_range(0u64..1000)),
+            }
+        })
+        .collect()
+}
+
+/// Schedules every action of `script` on `eng`.
+fn schedule<M>(eng: &mut Engine<M>, script: &[Action]) {
     for a in script {
         match *a {
             Action::Up(n, t) => eng.schedule_up(Time(1 + t), NodeIdx(u32::from(n))),
@@ -57,6 +73,34 @@ fn run_script(script: &[Action], seed: u64) -> Vec<String> {
             }
         }
     }
+}
+
+/// FNV-1a over the event log (one line per event) and over the report
+/// rendering: `(log_hash, log_len, report_hash)`.
+fn fingerprint(log: &[String], report: &str) -> (u64, u64, u64) {
+    let fnv = |parts: &mut dyn Iterator<Item = &str>| {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for part in parts {
+            for b in part.bytes().chain([b'\n']) {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        hash
+    };
+    (
+        fnv(&mut log.iter().map(String::as_str)),
+        log.len() as u64,
+        fnv(&mut std::iter::once(report)),
+    )
+}
+
+fn run_script(script: &[Action], seed: u64) -> Vec<String> {
+    let mut eng = engine(8, seed, 0.0);
+    // Bring node 0 up first so timers can be armed from a live node.
+    eng.schedule_up(Time::ZERO, NodeIdx(0));
+    let _ = eng.next_event_before(Time(1));
+    schedule(&mut eng, script);
     let mut log = Vec::new();
     while let Some((t, ev)) = eng.next_event_before(Time::ZERO + Duration::from_secs(10)) {
         log.push(format!("{t:?} {ev:?}"));
@@ -70,17 +114,16 @@ fn run_script(script: &[Action], seed: u64) -> Vec<String> {
     log
 }
 
-/// Runs a script under the given scheduler with loss, churn, timer
-/// cancellation and deliberate equal-timestamp ties, returning the full
-/// event log and the bandwidth report's exact rendering.
-fn run_with(script: &[Action], seed: u64, scheduler: SchedulerKind) -> (Vec<String>, String) {
+/// Runs a script with loss, churn, timer cancellation and deliberate
+/// equal-timestamp ties, returning the full event log and the bandwidth
+/// report's exact rendering.
+fn run_with(script: &[Action], seed: u64) -> (Vec<String>, String) {
     let mut eng: E = Engine::new(
         Box::new(UniformTopology::new(8, Duration::from_millis(3))),
         SimConfig {
             seed,
             loss_rate: 0.05,
             collect_cdf: true,
-            scheduler,
             ..SimConfig::default()
         },
     );
@@ -103,8 +146,7 @@ fn run_with(script: &[Action], seed: u64, scheduler: SchedulerKind) -> (Vec<Stri
             }
         }
     }
-    // Cancel every fifth armed timer; cancellation must behave the same
-    // under both schedulers.
+    // Cancel every fifth armed timer.
     for h in handles.iter().step_by(5) {
         eng.cancel_timer(*h);
     }
@@ -162,34 +204,31 @@ fn chaos_plan() -> FaultPlan {
     }
 }
 
-/// Like `run_with`, but under the full chaos plan. Returns the event log,
-/// the report rendering and the message-conservation ledger terms.
-fn run_faulty(
-    script: &[Action],
-    seed: u64,
-    scheduler: SchedulerKind,
-) -> (Vec<String>, String, u64) {
+/// Result of one [`run_faulty`]: the event log, the report rendering,
+/// the messages delivered and, when traced, the exported JSONL trace.
+struct FaultyRun {
+    log: Vec<String>,
+    report: String,
+    delivered: u64,
+    trace: Option<String>,
+}
+
+/// Like `run_with`, but under the full chaos plan and optionally with
+/// event tracing. Asserts that the message-conservation ledger balances.
+fn run_faulty(script: &[Action], seed: u64, trace: bool) -> FaultyRun {
     let mut eng: E = Engine::new(
         Box::new(UniformTopology::new(8, Duration::from_millis(3))),
         SimConfig {
             seed,
             loss_rate: 0.05,
-            scheduler,
             faults: Some(chaos_plan()),
+            trace: trace.then(TraceConfig::default),
             ..SimConfig::default()
         },
     );
     eng.schedule_up(Time::ZERO, NodeIdx(0));
     let _ = eng.next_event_before(Time(1));
-    for a in script {
-        match *a {
-            Action::Up(n, t) => eng.schedule_up(Time(1 + t), NodeIdx(u32::from(n))),
-            Action::Down(n, t) => eng.schedule_down(Time(1 + t), NodeIdx(u32::from(n))),
-            Action::Timer(n, d, tag) => {
-                let _ = eng.set_timer(NodeIdx(u32::from(n)), Duration::from_micros(d), tag);
-            }
-        }
-    }
+    schedule(&mut eng, script);
     let mut log = Vec::new();
     let mut delivered = 0u64;
     let mut sends = 0u32;
@@ -221,53 +260,14 @@ fn run_faulty(
         drops.total(),
         "per-class drop totals cover every cause"
     );
+    let trace = eng.take_tracer().map(|t| t.export_jsonl());
     let report = eng.finish();
-    (log, format!("{report:?}"), delivered)
-}
-
-/// Like `run_faulty` under the Wheel scheduler, optionally with event
-/// tracing enabled. Returns the event log, the report rendering and the
-/// exported JSONL trace (when tracing).
-fn run_traced(script: &[Action], seed: u64, trace: bool) -> (Vec<String>, String, Option<String>) {
-    let mut eng: E = Engine::new(
-        Box::new(UniformTopology::new(8, Duration::from_millis(3))),
-        SimConfig {
-            seed,
-            loss_rate: 0.05,
-            faults: Some(chaos_plan()),
-            trace: trace.then(TraceConfig::default),
-            ..SimConfig::default()
-        },
-    );
-    eng.schedule_up(Time::ZERO, NodeIdx(0));
-    let _ = eng.next_event_before(Time(1));
-    for a in script {
-        match *a {
-            Action::Up(n, t) => eng.schedule_up(Time(1 + t), NodeIdx(u32::from(n))),
-            Action::Down(n, t) => eng.schedule_down(Time(1 + t), NodeIdx(u32::from(n))),
-            Action::Timer(n, d, tag) => {
-                let _ = eng.set_timer(NodeIdx(u32::from(n)), Duration::from_micros(d), tag);
-            }
-        }
+    FaultyRun {
+        log,
+        report: format!("{report:?}"),
+        delivered,
+        trace,
     }
-    let mut log = Vec::new();
-    let mut sends = 0u32;
-    while let Some((t, ev)) = eng.next_event_before(Time::ZERO + Duration::from_secs(20)) {
-        log.push(format!("{t:?} {ev:?}"));
-        match ev {
-            Event::Message { from, to, .. } if sends < 300 && eng.is_up(to) && eng.is_up(from) => {
-                sends += 1;
-                eng.send(to, from, 0, 48, TrafficClass::Maintenance);
-            }
-            Event::NodeUp { node } if node != NodeIdx(0) && eng.is_up(NodeIdx(0)) => {
-                eng.send(NodeIdx(0), node, u64::from(node.0), 64, TrafficClass::Query);
-            }
-            _ => {}
-        }
-    }
-    let jsonl = eng.take_tracer().map(|t| t.export_jsonl());
-    let report = eng.finish();
-    (log, format!("{report:?}"), jsonl)
 }
 
 /// Like `run_faulty`, but every fan-out goes through either the shared-
@@ -275,18 +275,12 @@ fn run_traced(script: &[Action], seed: u64, trace: bool) -> (Vec<String>, String
 /// clone-and-send loop, selected by `multicast`. The payload is a real
 /// allocation (`Vec<u64>`) so sharing is observable if it ever leaked
 /// into behaviour. Returns the event log and the report rendering.
-fn run_fanout(
-    script: &[Action],
-    seed: u64,
-    scheduler: SchedulerKind,
-    multicast: bool,
-) -> (Vec<String>, String) {
+fn run_fanout(script: &[Action], seed: u64, multicast: bool) -> (Vec<String>, String) {
     let mut eng: Engine<Vec<u64>> = Engine::new(
         Box::new(UniformTopology::new(8, Duration::from_millis(3))),
         SimConfig {
             seed,
             loss_rate: 0.05,
-            scheduler,
             faults: Some(chaos_plan()),
             ..SimConfig::default()
         },
@@ -304,15 +298,7 @@ fn run_fanout(
     };
     eng.schedule_up(Time::ZERO, NodeIdx(0));
     let _ = eng.next_event_before(Time(1));
-    for a in script {
-        match *a {
-            Action::Up(n, t) => eng.schedule_up(Time(1 + t), NodeIdx(u32::from(n))),
-            Action::Down(n, t) => eng.schedule_down(Time(1 + t), NodeIdx(u32::from(n))),
-            Action::Timer(n, d, tag) => {
-                let _ = eng.set_timer(NodeIdx(u32::from(n)), Duration::from_micros(d), tag);
-            }
-        }
-    }
+    schedule(&mut eng, script);
     let mut log = Vec::new();
     let mut fanouts = 0u32;
     while let Some((t, ev)) = eng.next_event_before(Time::ZERO + Duration::from_secs(20)) {
@@ -336,6 +322,45 @@ fn run_fanout(
     (log, format!("{report:?}"))
 }
 
+/// `(script_seed, engine_seed, log_hash, log_len, report_hash)` of
+/// [`run_with`] on [`fixed_script`]s, captured when the binary-heap
+/// scheduler still existed and produced the same fingerprints as the
+/// timer wheel.
+const CLEAN_GOLDENS: [(u64, u64, u64, u64, u64); 3] = [
+    (1, 7, 0x7398_981f_de6e_a229, 38, 0x3740_f560_8dae_f1e4),
+    (2, 11, 0xbe74_a457_58fe_ce47, 149, 0x6751_1a7e_8cef_aff1),
+    (3, 42, 0xa1f3_88f1_4f24_ca2e, 98, 0xa489_701d_33ee_3fb2),
+];
+
+/// The same for [`run_faulty`] (untraced) under the full chaos plan.
+const FAULTY_GOLDENS: [(u64, u64, u64, u64, u64); 3] = [
+    (1, 7, 0xaa40_785c_776c_b946, 50, 0x7226_7de0_9f85_2727),
+    (2, 11, 0x0c36_2597_4721_6742, 355, 0x5420_134f_5530_5795),
+    (3, 42, 0x5ef7_07c4_e7c9_0de1, 354, 0x88fd_354a_61e6_0341),
+];
+
+#[test]
+fn fixed_scripts_match_goldens() {
+    let clean: Vec<_> = CLEAN_GOLDENS
+        .iter()
+        .map(|&(script_seed, seed, ..)| {
+            let (log, report) = run_with(&fixed_script(script_seed), seed);
+            let (h, len, r) = fingerprint(&log, &report);
+            (script_seed, seed, h, len, r)
+        })
+        .collect();
+    let faulty: Vec<_> = FAULTY_GOLDENS
+        .iter()
+        .map(|&(script_seed, seed, ..)| {
+            let run = run_faulty(&fixed_script(script_seed), seed, false);
+            let (h, len, r) = fingerprint(&run.log, &run.report);
+            (script_seed, seed, h, len, r)
+        })
+        .collect();
+    assert_eq!(clean, CLEAN_GOLDENS, "clean runs diverged: {clean:#x?}");
+    assert_eq!(faulty, FAULTY_GOLDENS, "faulty runs diverged: {faulty:#x?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -343,27 +368,13 @@ proptest! {
     /// script under the full chaos plan (loss, duplication, reordering,
     /// partitions, crash-amnesia), fanning a payload out via one
     /// `multicast` call produces byte-identical event logs and bandwidth
-    /// reports to the per-destination clone-and-send loop it replaced —
-    /// under both scheduler implementations.
+    /// reports to the per-destination clone-and-send loop it replaced.
     #[test]
     fn multicast_matches_clone_loop(script in actions(), seed in 0u64..200) {
-        for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let (log_m, rep_m) = run_fanout(&script, seed, scheduler, true);
-            let (log_c, rep_c) = run_fanout(&script, seed, scheduler, false);
-            prop_assert_eq!(log_m, log_c);
-            prop_assert_eq!(rep_m, rep_c);
-        }
-    }
-
-    /// The timer wheel and the reference heap deliver byte-identical
-    /// event sequences and bandwidth reports for any script of churn,
-    /// messages, timers, cancellations and equal-time ties.
-    #[test]
-    fn wheel_and_heap_are_byte_identical(script in actions(), seed in 0u64..200) {
-        let (log_w, rep_w) = run_with(&script, seed, SchedulerKind::Wheel);
-        let (log_h, rep_h) = run_with(&script, seed, SchedulerKind::Heap);
-        prop_assert_eq!(log_w, log_h);
-        prop_assert_eq!(rep_w, rep_h);
+        let (log_m, rep_m) = run_fanout(&script, seed, true);
+        let (log_c, rep_c) = run_fanout(&script, seed, false);
+        prop_assert_eq!(log_m, log_c);
+        prop_assert_eq!(rep_m, rep_c);
     }
 
     /// Identical scripts and seeds produce byte-identical event logs.
@@ -373,36 +384,34 @@ proptest! {
     }
 
     /// With partitions, link faults, crash-amnesia, correlated outages,
-    /// duplication and reordering all active, both schedulers still
-    /// deliver byte-identical logs and reports, reruns reproduce exactly,
-    /// and the drop ledger balances.
+    /// duplication and reordering all active, reruns reproduce logs,
+    /// reports and delivery counts exactly, and the drop ledger balances
+    /// (asserted inside `run_faulty`).
     #[test]
     fn fault_injection_is_deterministic_and_balanced(
         script in actions(),
         seed in 0u64..200,
     ) {
-        let (log_w, rep_w, del_w) = run_faulty(&script, seed, SchedulerKind::Wheel);
-        let (log_h, rep_h, del_h) = run_faulty(&script, seed, SchedulerKind::Heap);
-        prop_assert_eq!(&log_w, &log_h);
-        prop_assert_eq!(rep_w, rep_h);
-        prop_assert_eq!(del_w, del_h);
-        let (log_again, ..) = run_faulty(&script, seed, SchedulerKind::Wheel);
-        prop_assert_eq!(log_w, log_again);
+        let a = run_faulty(&script, seed, false);
+        let b = run_faulty(&script, seed, false);
+        prop_assert_eq!(a.log, b.log);
+        prop_assert_eq!(a.report, b.report);
+        prop_assert_eq!(a.delivered, b.delivered);
     }
 
     /// Tracing is pure observation: with the full chaos plan active, the
-    /// event-log fingerprint and bandwidth report are byte-identical with
-    /// tracing on vs off, and the exported JSONL trace is byte-stable
-    /// across reruns of the same seed.
+    /// event log and bandwidth report are byte-identical with tracing on
+    /// vs off, and the exported JSONL trace is byte-stable across reruns
+    /// of the same seed.
     #[test]
     fn tracing_never_perturbs_event_order(script in actions(), seed in 0u64..200) {
-        let (log_on, rep_on, jsonl_a) = run_traced(&script, seed, true);
-        let (log_off, rep_off, jsonl_none) = run_traced(&script, seed, false);
-        prop_assert!(jsonl_none.is_none());
-        prop_assert_eq!(&log_on, &log_off);
-        prop_assert_eq!(rep_on, rep_off);
-        let (_, _, jsonl_b) = run_traced(&script, seed, true);
-        prop_assert_eq!(jsonl_a, jsonl_b);
+        let on = run_faulty(&script, seed, true);
+        let off = run_faulty(&script, seed, false);
+        prop_assert!(off.trace.is_none());
+        prop_assert_eq!(&on.log, &off.log);
+        prop_assert_eq!(on.report, off.report);
+        let again = run_faulty(&script, seed, true);
+        prop_assert_eq!(on.trace, again.trace);
     }
 
     /// Events never go backwards in time.

@@ -5,20 +5,22 @@
 //! [`ExecKind::Serial`] — per-shard event logs, bandwidth reports and
 //! exported traces — under the full chaos plan (loss, partitions, link
 //! degradation, crash-amnesia, correlated outages, duplication,
-//! reordering), under both scheduler implementations, with
-//! cross-partition messages and control payloads landing exactly at the
-//! lookahead bound. The proptest here pins that claim; the torture test
-//! hammers the boundary case deterministically.
+//! reordering), with cross-partition messages and control payloads
+//! landing exactly at the lookahead bound. The proptest here pins that
+//! claim, golden fingerprints pin the serial run on fixed scripts, and
+//! the torture test hammers the boundary case deterministically.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use seaweed_sim::exec::{
     partition_seed, run_partitioned, ExecConfig, ExecKind, Outbox, PartitionApp,
 };
 use seaweed_sim::{
-    CrashSpec, Engine, Event, FaultPlan, NodeIdx, OutageSpec, PartitionSpec, SchedulerKind,
-    SimConfig, SubTopology, Topology, TraceConfig, TrafficClass, UniformTopology,
+    CrashSpec, Engine, Event, FaultPlan, NodeIdx, OutageSpec, PartitionSpec, SimConfig,
+    SubTopology, Topology, TraceConfig, TrafficClass, UniformTopology,
 };
 use seaweed_types::{Duration, Time};
 
@@ -47,6 +49,23 @@ fn actions() -> impl Strategy<Value = Vec<Action>> {
         ],
         1..40,
     )
+}
+
+/// A fixed 30-action script drawn from `script_seed`, in the same value
+/// ranges as [`actions`]: the inputs the goldens are pinned on.
+fn fixed_script(script_seed: u64) -> Vec<Action> {
+    let mut rng = StdRng::seed_from_u64(script_seed);
+    (0..30)
+        .map(|_| {
+            let n = rng.gen_range(0..N as u8);
+            let t = rng.gen_range(0u64..8_000_000);
+            match rng.gen_range(0u8..3) {
+                0 => Action::Up(n, t),
+                1 => Action::Down(n, t),
+                _ => Action::Timer(n, t, rng.gen_range(0u64..1000)),
+            }
+        })
+        .collect()
 }
 
 /// Chaos plan exercising every injection mechanism, global index space.
@@ -165,13 +184,7 @@ impl PartitionApp<Msg> for ShardApp {
 /// exported JSONL trace.
 type Fingerprint = (Vec<String>, String, String);
 
-fn run_exec(
-    script: &[Action],
-    seed: u64,
-    scheduler: SchedulerKind,
-    kind: ExecKind,
-    workers: usize,
-) -> Vec<Fingerprint> {
+fn run_exec(script: &[Action], seed: u64, kind: ExecKind, workers: usize) -> Vec<Fingerprint> {
     let global = Arc::new(UniformTopology::new(N, LATENCY));
     let pmap = global.partition_map(PARTS).expect("partitionable");
     assert_eq!(pmap.lookahead, LATENCY);
@@ -190,7 +203,6 @@ fn run_exec(
             SimConfig {
                 seed: partition_seed(seed, p),
                 loss_rate: 0.05,
-                scheduler,
                 faults: Some(chaos.for_partition(&members)),
                 trace: Some(TraceConfig::default()),
                 ..SimConfig::default()
@@ -244,21 +256,48 @@ proptest! {
 
     /// For any churn/timer script under the full chaos plan, parallel
     /// execution is byte-identical to serial — per-shard event logs,
-    /// bandwidth reports and traces — under both schedulers, and reruns
-    /// reproduce exactly.
+    /// bandwidth reports and traces — and reruns reproduce exactly.
     #[test]
     fn parallel_matches_serial_bytewise(script in actions(), seed in 0u64..200) {
-        for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let serial = run_exec(&script, seed, scheduler, ExecKind::Serial, 0);
-            let parallel = run_exec(&script, seed, scheduler, ExecKind::Parallel, 3);
-            prop_assert_eq!(&serial, &parallel, "serial vs parallel, {:?}", scheduler);
-            // And with fewer workers than partitions (worker owns 2 shards).
-            let squeezed = run_exec(&script, seed, scheduler, ExecKind::Parallel, 2);
-            prop_assert_eq!(&serial, &squeezed, "serial vs 2-worker, {:?}", scheduler);
-            let rerun = run_exec(&script, seed, scheduler, ExecKind::Parallel, 3);
-            prop_assert_eq!(&parallel, &rerun, "parallel rerun, {:?}", scheduler);
-        }
+        let serial = run_exec(&script, seed, ExecKind::Serial, 0);
+        let parallel = run_exec(&script, seed, ExecKind::Parallel, 3);
+        prop_assert_eq!(&serial, &parallel, "serial vs parallel");
+        // And with fewer workers than partitions (worker owns 2 shards).
+        let squeezed = run_exec(&script, seed, ExecKind::Parallel, 2);
+        prop_assert_eq!(&serial, &squeezed, "serial vs 2-worker");
+        let rerun = run_exec(&script, seed, ExecKind::Parallel, 3);
+        prop_assert_eq!(&parallel, &rerun, "parallel rerun");
     }
+}
+
+/// `(script_seed, seed, hash)`: FNV-1a of the `Debug` rendering of the
+/// serial run's per-shard fingerprints on a [`fixed_script`], captured
+/// when the binary-heap scheduler still existed and agreed with the
+/// timer wheel on it.
+const GOLDENS: [(u64, u64, u64); 3] = [
+    (1, 7, 0x26e1_260b_d7ea_8012),
+    (2, 11, 0x4bbe_059e_7ce2_edf0),
+    (3, 42, 0x199d_f57f_1fb3_8432),
+];
+
+#[test]
+fn serial_runs_match_goldens() {
+    let got: Vec<(u64, u64, u64)> = GOLDENS
+        .iter()
+        .map(|&(script_seed, seed, _)| {
+            let shards = run_exec(&fixed_script(script_seed), seed, ExecKind::Serial, 0);
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for b in format!("{shards:?}").bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+            (script_seed, seed, hash)
+        })
+        .collect();
+    assert_eq!(
+        got, GOLDENS,
+        "serial runs diverged from the goldens: {got:#x?}"
+    );
 }
 
 /// Partition-boundary torture: two shards ping-pong messages timed at

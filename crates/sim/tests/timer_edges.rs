@@ -1,21 +1,18 @@
 //! Timer-wheel edge cases: handles that outlive their timer, timers on
 //! down nodes, and fire times sitting exactly on cascade-level
-//! boundaries (64 µs, 4096 µs, 262144 µs for a 6-bit wheel). Everything
-//! is exercised on both schedulers — the wheel's lazy tombstones and
-//! cascades must be indistinguishable from the reference heap.
+//! boundaries (64 µs, 4096 µs, 262144 µs for a 6-bit wheel). The wheel's
+//! lazy tombstones and cascades must be invisible: each test asserts the
+//! exact fire times and tags a `(time, seq)`-ordered queue delivers.
 
-use seaweed_sim::{Engine, Event, NodeIdx, SchedulerKind, SimConfig, UniformTopology};
+use seaweed_sim::{Engine, Event, NodeIdx, SimConfig, UniformTopology};
 use seaweed_types::{Duration, Time};
 
 type Eng = Engine<()>;
 
-fn engine(n: usize, scheduler: SchedulerKind) -> Eng {
+fn engine(n: usize) -> Eng {
     Engine::new(
         Box::new(UniformTopology::new(n, Duration::from_millis(1))),
-        SimConfig {
-            scheduler,
-            ..SimConfig::default()
-        },
+        SimConfig::default(),
     )
 }
 
@@ -35,87 +32,70 @@ fn drain(e: &mut Eng, horizon: Time) -> Vec<(Time, NodeIdx, u64)> {
     out
 }
 
-const BOTH: [SchedulerKind; 2] = [SchedulerKind::Wheel, SchedulerKind::Heap];
-
 #[test]
 fn cancel_after_fire_is_a_noop() {
-    for kind in BOTH {
-        let mut e = engine(1, kind);
-        up(&mut e, 0);
-        let h = e.set_timer(NodeIdx(0), Duration::from_micros(100), 1);
-        let later = e.set_timer(NodeIdx(0), Duration::from_micros(200), 2);
-        let fired = drain(&mut e, Time(150));
-        assert_eq!(fired.len(), 1, "{kind:?}");
-        assert!(
-            !e.cancel_timer(h),
-            "cancel after fire must no-op ({kind:?})"
-        );
-        // The stale cancel must not have disturbed the pending timer.
-        let fired = drain(&mut e, Time(300));
-        assert_eq!(fired, vec![(Time(200), NodeIdx(0), 2)], "{kind:?}");
-        assert!(!e.cancel_timer(later));
-        assert_eq!(e.timers_cancelled, 0, "{kind:?}");
-    }
+    let mut e = engine(1);
+    up(&mut e, 0);
+    let h = e.set_timer(NodeIdx(0), Duration::from_micros(100), 1);
+    let later = e.set_timer(NodeIdx(0), Duration::from_micros(200), 2);
+    let fired = drain(&mut e, Time(150));
+    assert_eq!(fired.len(), 1);
+    assert!(!e.cancel_timer(h), "cancel after fire must no-op");
+    // The stale cancel must not have disturbed the pending timer.
+    let fired = drain(&mut e, Time(300));
+    assert_eq!(fired, vec![(Time(200), NodeIdx(0), 2)]);
+    assert!(!e.cancel_timer(later));
+    assert_eq!(e.timers_cancelled, 0);
 }
 
 #[test]
 fn double_cancel_is_idempotent() {
-    for kind in BOTH {
-        let mut e = engine(1, kind);
-        up(&mut e, 0);
-        let h = e.set_timer(NodeIdx(0), Duration::from_secs(1), 7);
-        let kept = e.set_timer(NodeIdx(0), Duration::from_secs(2), 8);
-        assert!(e.cancel_timer(h), "{kind:?}");
-        assert!(!e.cancel_timer(h), "second cancel must no-op ({kind:?})");
-        assert_eq!(e.timers_cancelled, 1, "{kind:?}");
-        let fired = drain(&mut e, Time::ZERO + Duration::from_secs(3));
-        assert_eq!(fired.len(), 1, "{kind:?}");
-        assert_eq!(fired[0].2, 8, "{kind:?}");
-        let _ = kept;
-    }
+    let mut e = engine(1);
+    up(&mut e, 0);
+    let h = e.set_timer(NodeIdx(0), Duration::from_secs(1), 7);
+    let kept = e.set_timer(NodeIdx(0), Duration::from_secs(2), 8);
+    assert!(e.cancel_timer(h));
+    assert!(!e.cancel_timer(h), "second cancel must no-op");
+    assert_eq!(e.timers_cancelled, 1);
+    let fired = drain(&mut e, Time::ZERO + Duration::from_secs(3));
+    assert_eq!(fired.len(), 1);
+    assert_eq!(fired[0].2, 8);
+    let _ = kept;
 }
 
 #[test]
 fn detached_timer_on_never_up_node_fires() {
-    for kind in BOTH {
-        let mut e = engine(2, kind);
-        // Node 1 never comes up. A detached deadline armed for it (e.g. a
-        // TTL) must still fire; an auto timer must be swallowed at fire
-        // time.
-        e.set_detached_timer(NodeIdx(1), Duration::from_micros(500), 11);
-        e.set_timer(NodeIdx(1), Duration::from_micros(400), 12);
-        let fired = drain(&mut e, Time(1_000));
-        assert_eq!(fired, vec![(Time(500), NodeIdx(1), 11)], "{kind:?}");
-    }
+    let mut e = engine(2);
+    // Node 1 never comes up. A detached deadline armed for it (e.g. a
+    // TTL) must still fire; an auto timer must be swallowed at fire
+    // time.
+    e.set_detached_timer(NodeIdx(1), Duration::from_micros(500), 11);
+    e.set_timer(NodeIdx(1), Duration::from_micros(400), 12);
+    let fired = drain(&mut e, Time(1_000));
+    assert_eq!(fired, vec![(Time(500), NodeIdx(1), 11)]);
 }
 
 /// Delays straddling every cascade-level boundary of the 6-bit wheel
 /// (one level spans 64 µs, two span 4096 µs, three span 262144 µs) fire
-/// at their exact requested times, in identical order on both
-/// schedulers.
+/// at their exact requested times, in time order.
 #[test]
 fn timers_exactly_on_cascade_boundaries() {
     let delays: [u64; 10] = [
         1, 63, 64, 65, 4_095, 4_096, 4_097, 262_143, 262_144, 262_145,
     ];
-    let mut per_kind: Vec<Vec<(Time, NodeIdx, u64)>> = Vec::new();
-    for kind in BOTH {
-        let mut e = engine(1, kind);
-        up(&mut e, 0);
-        // Arm in shuffled order so insertion order can't mask a
-        // mis-binned slot.
-        for (i, &d) in delays.iter().enumerate().rev() {
-            e.set_timer(NodeIdx(0), Duration::from_micros(d), i as u64);
-        }
-        let fired = drain(&mut e, Time(1_000_000));
-        assert_eq!(fired.len(), delays.len(), "{kind:?}");
-        for (i, &d) in delays.iter().enumerate() {
-            assert_eq!(fired[i].0, Time(d), "delay {d} fire time ({kind:?})");
-            assert_eq!(fired[i].2, i as u64, "delay {d} order ({kind:?})");
-        }
-        per_kind.push(fired);
+    let mut e = engine(1);
+    up(&mut e, 0);
+    // Arm in shuffled order so insertion order can't mask a mis-binned
+    // slot.
+    for (i, &d) in delays.iter().enumerate().rev() {
+        e.set_timer(NodeIdx(0), Duration::from_micros(d), i as u64);
     }
-    assert_eq!(per_kind[0], per_kind[1], "wheel and heap diverged");
+    let fired = drain(&mut e, Time(1_000_000));
+    assert_eq!(fired.len(), delays.len());
+    for (i, &d) in delays.iter().enumerate() {
+        assert_eq!(fired[i].0, Time(d), "delay {d} fire time");
+        assert_eq!(fired[i].2, i as u64, "delay {d} order");
+    }
 }
 
 /// A high-level timer cancelled before its slot cascades down must leave
@@ -123,18 +103,16 @@ fn timers_exactly_on_cascade_boundaries() {
 /// stays dead afterwards.
 #[test]
 fn cancel_before_cascade_leaves_nothing_behind() {
-    for kind in BOTH {
-        let mut e = engine(1, kind);
-        up(&mut e, 0);
-        // Both land in a level >= 1 slot (the second is the sibling).
-        let doomed = e.set_timer(NodeIdx(0), Duration::from_micros(262_144), 1);
-        e.set_timer(NodeIdx(0), Duration::from_micros(262_144 + 32), 2);
-        // Advance the clock, but not far enough to cascade that slot.
-        assert!(e.next_event_before(Time(100_000)).is_none());
-        assert!(e.cancel_timer(doomed), "{kind:?}");
-        let fired = drain(&mut e, Time(500_000));
-        assert_eq!(fired, vec![(Time(262_176), NodeIdx(0), 2)], "{kind:?}");
-        assert!(!e.cancel_timer(doomed), "{kind:?}");
-        assert_eq!(e.timers_cancelled, 1, "{kind:?}");
-    }
+    let mut e = engine(1);
+    up(&mut e, 0);
+    // Both land in a level >= 1 slot (the second is the sibling).
+    let doomed = e.set_timer(NodeIdx(0), Duration::from_micros(262_144), 1);
+    e.set_timer(NodeIdx(0), Duration::from_micros(262_144 + 32), 2);
+    // Advance the clock, but not far enough to cascade that slot.
+    assert!(e.next_event_before(Time(100_000)).is_none());
+    assert!(e.cancel_timer(doomed));
+    let fired = drain(&mut e, Time(500_000));
+    assert_eq!(fired, vec![(Time(262_176), NodeIdx(0), 2)]);
+    assert!(!e.cancel_timer(doomed));
+    assert_eq!(e.timers_cancelled, 1);
 }

@@ -30,8 +30,7 @@ echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo build --release"
-# --workspace: the root package alone does not pull in the bench bins,
-# and the chaos smoke below needs target/release/chaos01_faults.
+# --workspace: the smokes below need the bench bins.
 cargo build --release --workspace
 
 echo "==> cargo test"
@@ -40,20 +39,21 @@ cargo test -q --workspace
 echo "==> cargo bench --no-run (Criterion benches must keep compiling)"
 cargo bench --workspace --no-run
 
-echo "==> chaos smoke (fixed seed: oracles clean, CSV byte-stable)"
-./target/release/chaos01_faults --seed 7 --seeds 4 --out results/chaos01_smoke_a.csv
-./target/release/chaos01_faults --seed 7 --seeds 4 --out results/chaos01_smoke_b.csv >/dev/null
-cmp results/chaos01_smoke_a.csv results/chaos01_smoke_b.csv
-rm -f results/chaos01_smoke_a.csv results/chaos01_smoke_b.csv
-
-echo "==> trace smoke (fixed seed: CSV and JSONL trace byte-stable)"
-./target/release/obs01_query_timeline --seed 7 --seeds 2 \
-  --out results/obs01_smoke_a.csv --trace-out results/obs01_trace_a.jsonl
-./target/release/obs01_query_timeline --seed 7 --seeds 2 \
-  --out results/obs01_smoke_b.csv --trace-out results/obs01_trace_b.jsonl >/dev/null
-cmp results/obs01_smoke_a.csv results/obs01_smoke_b.csv
-cmp results/obs01_trace_a.jsonl results/obs01_trace_b.jsonl
-rm -f results/obs01_smoke_{a,b}.csv results/obs01_trace_{a,b}.jsonl
+echo "==> checked-in results (default arguments reproduce results/*.csv byte-for-byte)"
+# Each binary exits non-zero on any oracle violation. obs01 runs twice:
+# its JSONL trace is not checked in, so it is held to run-to-run
+# byte-stability instead.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+./target/release/chaos01_faults --out "$tmp/chaos01.csv"
+cmp results/chaos01.csv "$tmp/chaos01.csv"
+./target/release/abl07_hedging --out "$tmp/abl07.csv"
+cmp results/abl07.csv "$tmp/abl07.csv"
+./target/release/obs01_query_timeline --out "$tmp/obs01_a.csv" --trace-out "$tmp/obs01_a.jsonl"
+./target/release/obs01_query_timeline --out "$tmp/obs01_b.csv" --trace-out "$tmp/obs01_b.jsonl" >/dev/null
+cmp results/obs01.csv "$tmp/obs01_a.csv"
+cmp results/obs01.csv "$tmp/obs01_b.csv"
+cmp "$tmp/obs01_a.jsonl" "$tmp/obs01_b.jsonl"
 
 echo "==> scale smoke (fixed seed, small N: CSV byte-stable)"
 # The CSV carries only simulation-deterministic columns; the JSON twin
@@ -94,12 +94,5 @@ echo "==> storm01 smoke (fixed seed, small N: oracle-gated, K=1 byte-identity, C
   --out results/storm01_smoke_b.csv --json results/storm01_smoke_b.json >/dev/null
 cmp results/storm01_smoke_a.csv results/storm01_smoke_b.csv
 rm -f results/storm01_smoke_{a,b}.csv results/storm01_smoke_{a,b}.json
-
-echo "==> abl07 smoke (fixed seed: hedging oracles clean, CSV byte-stable)"
-# Exits non-zero on any ChaosOracle violation with hedging on.
-./target/release/abl07_hedging --seed 7 --seeds 3 --out results/abl07_smoke_a.csv
-./target/release/abl07_hedging --seed 7 --seeds 3 --out results/abl07_smoke_b.csv >/dev/null
-cmp results/abl07_smoke_a.csv results/abl07_smoke_b.csv
-rm -f results/abl07_smoke_{a,b}.csv
 
 echo "OK"
