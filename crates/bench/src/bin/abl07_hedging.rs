@@ -28,10 +28,6 @@ use seaweed_sim::{
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
 /// Horizon used for censored runs (0.9-completeness never reached).
 const HORIZON_S: u64 = 1500;
 
@@ -53,7 +49,13 @@ fn outage_plan(topo: &CorpNetTopology, n: usize, churn: bool) -> FaultPlan {
                 .min_by_key(|&r| topo.subtree_endsystems(r).len())
         })
         .expect("a branch router without the origin");
-    let outage = OutageSpec::branch_outage(topo, branch, secs(595), secs(700), false);
+    let outage = OutageSpec::branch_outage(
+        topo,
+        branch,
+        Time::from_secs(595),
+        Time::from_secs(700),
+        false,
+    );
 
     let za = topo.router_of(NodeIdx(1)) as u32;
     let mut zb = topo.router_of(NodeIdx(2)) as u32;
@@ -70,12 +72,12 @@ fn outage_plan(topo: &CorpNetTopology, n: usize, churn: bool) -> FaultPlan {
         vec![
             CrashSpec {
                 node: NodeIdx(bystanders[0]),
-                at: secs(601),
+                at: Time::from_secs(601),
                 rejoin_after: Duration::from_secs(40),
             },
             CrashSpec {
                 node: NodeIdx(bystanders[1]),
-                at: secs(604),
+                at: Time::from_secs(604),
                 rejoin_after: Duration::from_secs(30),
             },
         ]
@@ -88,8 +90,8 @@ fn outage_plan(topo: &CorpNetTopology, n: usize, churn: bool) -> FaultPlan {
         link_faults: vec![LinkFaultSpec {
             zone_a: za,
             zone_b: zb,
-            from: secs(595),
-            until: secs(700),
+            from: Time::from_secs(595),
+            until: Time::from_secs(700),
             extra_loss: 0.15,
             latency_mult: 3.0,
         }],
@@ -170,7 +172,7 @@ fn run_one(cfg: Config, seed: u64, n: usize, routers: usize) -> RunOutcome {
     for i in 0..n {
         eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
     }
-    sw.run_until(&mut eng, secs(600));
+    sw.run_until(&mut eng, Time::from_secs(600));
     let h = sw
         .inject_query(
             &mut eng,
@@ -184,14 +186,14 @@ fn run_one(cfg: Config, seed: u64, n: usize, routers: usize) -> RunOutcome {
     let oracle = ChaosOracle::new(n as u64);
     let mut violations = Vec::new();
     for t in [650, 720, 1000, HORIZON_S] {
-        sw.run_until(&mut eng, secs(t));
+        sw.run_until(&mut eng, Time::from_secs(t));
         violations.extend(oracle.check(&sw, &eng));
     }
 
     let t90 = sw
         .timeline(h)
         .time_to_completeness(0.9, n as f64)
-        .unwrap_or_else(|| secs(HORIZON_S).saturating_since(secs(600)));
+        .unwrap_or_else(|| Time::from_secs(HORIZON_S).saturating_since(Time::from_secs(600)));
     RunOutcome {
         t90,
         dissem_bytes: sw.stats.dissem_bytes,

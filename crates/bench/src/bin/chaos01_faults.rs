@@ -20,10 +20,6 @@ use seaweed_sim::{
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
 /// Builds the fault plan from the topology's structure: cut the regional
 /// router with the largest subtree, take the biggest branch down with
 /// amnesia, degrade one router pair, and crash two bystanders.
@@ -31,12 +27,19 @@ fn chaos_plan(topo: &CorpNetTopology, n: usize) -> FaultPlan {
     let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
         .max_by_key(|&r| topo.subtree_endsystems(r).len())
         .expect("regional routers");
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
+    let partition =
+        PartitionSpec::from_router_cut(topo, regional, Time::from_secs(602), Time::from_secs(780));
     let branch = topo
         .branch_routers()
         .max_by_key(|&r| topo.subtree_endsystems(r).len())
         .expect("branch routers");
-    let outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
+    let outage = OutageSpec::branch_outage(
+        topo,
+        branch,
+        Time::from_secs(640),
+        Time::from_secs(700),
+        true,
+    );
 
     let excluded: Vec<u32> = partition
         .members
@@ -51,12 +54,12 @@ fn chaos_plan(topo: &CorpNetTopology, n: usize) -> FaultPlan {
     let crashes = vec![
         CrashSpec {
             node: NodeIdx(bystanders[0]),
-            at: secs(630),
+            at: Time::from_secs(630),
             rejoin_after: Duration::from_secs(60),
         },
         CrashSpec {
             node: NodeIdx(bystanders[1]),
-            at: secs(690),
+            at: Time::from_secs(690),
             rejoin_after: Duration::from_secs(45),
         },
     ];
@@ -71,8 +74,8 @@ fn chaos_plan(topo: &CorpNetTopology, n: usize) -> FaultPlan {
         link_faults: vec![LinkFaultSpec {
             zone_a: za,
             zone_b: zb,
-            from: secs(600),
-            until: secs(720),
+            from: Time::from_secs(600),
+            until: Time::from_secs(720),
             extra_loss: 0.15,
             latency_mult: 3.0,
         }],
@@ -137,7 +140,7 @@ fn run_seed(seed: u64, n: usize, routers: usize) -> SeedOutcome {
     for i in 0..n {
         eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
     }
-    sw.run_until(&mut eng, secs(600));
+    sw.run_until(&mut eng, Time::from_secs(600));
     let h = sw
         .inject_query(
             &mut eng,
@@ -153,7 +156,7 @@ fn run_seed(seed: u64, n: usize, routers: usize) -> SeedOutcome {
     let oracle = ChaosOracle::new(n as u64);
     let mut violations = Vec::new();
     for t in [650, 720, 800, 1000, 1500] {
-        sw.run_until(&mut eng, secs(t));
+        sw.run_until(&mut eng, Time::from_secs(t));
         violations.extend(oracle.check(&sw, &eng));
     }
 

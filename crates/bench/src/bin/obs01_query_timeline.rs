@@ -24,10 +24,6 @@ use seaweed_sim::{CorpNetTopology, Engine, NodeIdx, SimConfig, TraceConfig};
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
 /// Completeness checkpoints after injection, in seconds.
 const CHECKPOINTS_S: [u64; 8] = [0, 15, 30, 60, 120, 300, 600, 1200];
 
@@ -94,10 +90,13 @@ fn run_seed(seed: u64, n: usize, routers: usize, export_trace: bool) -> SeedOutc
     // staggered schedule after it, so the predictor has unavailable
     // rows to forecast and the actual curve climbs as they return.
     for (returner, i) in (5..n).step_by(5).enumerate() {
-        eng.schedule_down(secs(560), NodeIdx(i as u32));
-        eng.schedule_up(secs(660 + returner as u64 * 120), NodeIdx(i as u32));
+        eng.schedule_down(Time::from_secs(560), NodeIdx(i as u32));
+        eng.schedule_up(
+            Time::from_secs(660 + returner as u64 * 120),
+            NodeIdx(i as u32),
+        );
     }
-    sw.run_until(&mut eng, secs(600));
+    sw.run_until(&mut eng, Time::from_secs(600));
     let h = sw
         .inject_query(
             &mut eng,

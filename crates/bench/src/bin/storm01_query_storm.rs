@@ -45,10 +45,6 @@ const QUANTUM_ROWS: u64 = 2;
 /// Submission burst time: joins plus one metadata-push cycle first.
 const T0_SECS: u64 = 900;
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
 /// Distinct query text per storm member (distinct query ids), identical
 /// ground truth: every row has `flag = 1`, so every predicate matches
 /// the full population.
@@ -195,7 +191,7 @@ fn run_point(
             sw.dispatch(eng, ev);
         }
     };
-    drive(&mut sw, &mut eng, secs(T0_SECS));
+    drive(&mut sw, &mut eng, Time::from_secs(T0_SECS));
 
     // The storm burst: all K submitted back-to-back. Over budget, the
     // tail parks in the admission queue.
@@ -226,7 +222,7 @@ fn run_point(
     let mut slices = 0u64;
     while completed < k {
         horizon += 10;
-        drive(&mut sw, &mut eng, secs(horizon));
+        drive(&mut sw, &mut eng, Time::from_secs(horizon));
         slices += 1;
         let mut still = Vec::with_capacity(live.len());
         for (i, h) in live.drain(..) {
@@ -288,7 +284,10 @@ fn run_point(
         .map(|r| r.injected + r.d100)
         .max()
         .expect("k >= 1");
-    let sim_span_s = last_done.saturating_since(secs(T0_SECS)).as_micros() as f64 / 1e6;
+    let sim_span_s = last_done
+        .saturating_since(Time::from_secs(T0_SECS))
+        .as_micros() as f64
+        / 1e6;
     let fairness_spread = max_d100.as_micros() as f64 / (min_d100.as_micros() as f64).max(1.0);
 
     let stats = sw.stats;

@@ -86,7 +86,8 @@ pub struct FullSimResult {
     /// predictor total rows).
     pub queries: Vec<QueryOutcome>,
     pub mean_online: f64,
-    pub sim_events: u64,
+    /// Messages the engine sent over the whole run.
+    pub messages: u64,
 }
 
 pub struct QueryOutcome {
@@ -187,7 +188,7 @@ pub fn run_full(cfg: &FullSimConfig, trace: &AvailabilityTrace) -> FullSimResult
     };
     let seaweed_stats = sw.stats;
     let overlay_stats = sw.overlay.stats;
-    let sim_events = eng.messages_sent;
+    let messages = eng.messages_sent;
     let report = eng.finish();
     FullSimResult {
         report,
@@ -195,7 +196,7 @@ pub fn run_full(cfg: &FullSimConfig, trace: &AvailabilityTrace) -> FullSimResult
         overlay_stats,
         queries,
         mean_online,
-        sim_events,
+        messages,
     }
 }
 
@@ -208,18 +209,15 @@ mod tests {
     #[test]
     fn small_full_stack_run_produces_sane_report() {
         let horizon = Duration::from_days(3);
-        let (trace, _) = FarsiteConfig::small(80, 1).generate(9);
-        // Trim trace to 3 days by regenerating with matching horizon.
         let mut cfg = FullSimConfig::new(9);
         cfg.injections = vec![(0, Time::ZERO + Duration::from_days(1))];
-        // Build a fresh 3-day trace instead of the 1-week default.
-        let (trace3, _) = {
+        // A 3-day trace instead of the 1-week default.
+        let (trace, _) = {
             let mut fc = FarsiteConfig::small(80, 1);
             fc.horizon = horizon;
             fc.generate(9)
         };
-        drop(trace);
-        let result = run_full(&cfg, &trace3);
+        let result = run_full(&cfg, &trace);
 
         // Maintenance traffic dominates overlay traffic (paper Fig 9a).
         let maint = result
@@ -244,6 +242,6 @@ mod tests {
             q.rows,
             q.population_rows
         );
-        assert!(result.sim_events > 0);
+        assert!(result.messages > 0);
     }
 }

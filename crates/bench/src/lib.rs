@@ -21,8 +21,9 @@ pub use output::{write_csv, Table as OutTable};
 pub use parallel::{jobs, run_sweep};
 
 /// Process peak resident set (`VmHWM`) in bytes; 0 where `/proc` is
-/// absent. Monotone over the process lifetime, so sweeps that report it
-/// per point run in ascending N and each figure is "peak RSS so far".
+/// absent. Monotone over the process lifetime, so a sweep that reports
+/// it per point runs each point in its own process (see the `scale`
+/// binary).
 #[must_use]
 pub fn peak_rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {

@@ -13,10 +13,6 @@ use seaweed_types::{Duration, Time};
 const N: usize = 30;
 const SEED: u64 = 11;
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
 /// Runs the 5%-loss partition scenario with the given retry cap and
 /// returns `(result_retries, rows at origin)`.
 fn run(result_retry_cap: Duration) -> (u64, u64) {
@@ -41,8 +37,8 @@ fn run(result_retry_cap: Duration) -> (u64, u64) {
     let plan = FaultPlan {
         partitions: vec![PartitionSpec {
             members: (20..N as u32).collect(),
-            from: secs(905),
-            until: secs(1025),
+            from: Time::from_secs(905),
+            until: Time::from_secs(1025),
         }],
         ..FaultPlan::default()
     };
@@ -75,9 +71,9 @@ fn run(result_retry_cap: Duration) -> (u64, u64) {
     for i in 0..N {
         eng.schedule_up(Time::from_micros(1 + i as u64 * 700_000), NodeIdx(i as u32));
     }
-    sw.run_until(&mut eng, secs(900));
+    sw.run_until(&mut eng, Time::from_secs(900));
     assert_eq!(sw.overlay.num_joined(), N, "all join before the partition");
-    sw.run_until(&mut eng, secs(910));
+    sw.run_until(&mut eng, Time::from_secs(910));
 
     let h = sw
         .inject_query(
@@ -88,7 +84,7 @@ fn run(result_retry_cap: Duration) -> (u64, u64) {
             &schema,
         )
         .unwrap();
-    sw.run_until(&mut eng, secs(1800));
+    sw.run_until(&mut eng, Time::from_secs(1800));
     assert!(eng.dropped_partition > 0, "partition cut no traffic");
     (sw.stats.result_retries, sw.query(h).rows())
 }

@@ -24,7 +24,7 @@ pub const T0: Time = Time(600_000_000);
 pub const CHECKPOINTS: [u64; 5] = [650, 720, 800, 1000, 1500];
 
 pub fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
+    Time::from_secs(s)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

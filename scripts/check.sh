@@ -55,34 +55,18 @@ cmp results/obs01.csv "$tmp/obs01_a.csv"
 cmp results/obs01.csv "$tmp/obs01_b.csv"
 cmp "$tmp/obs01_a.jsonl" "$tmp/obs01_b.jsonl"
 
-echo "==> scale smoke (fixed seed, small N: CSV byte-stable)"
-# The CSV carries only simulation-deterministic columns; the JSON twin
-# holds wall-clock and is machine-dependent, so only the CSV is compared.
-./target/release/scale01_endsystems --base 100 --max-n 200 --seed 7 \
-  --out results/scale01_smoke_a.csv --json results/scale01_smoke_a.json
-./target/release/scale01_endsystems --base 100 --max-n 200 --seed 7 \
-  --out results/scale01_smoke_b.csv --json results/scale01_smoke_b.json >/dev/null
-cmp results/scale01_smoke_a.csv results/scale01_smoke_b.csv
-rm -f results/scale01_smoke_{a,b}.csv results/scale01_smoke_{a,b}.json
-
-echo "==> scale02 smoke (fixed seed, small N, Farsite point disabled: CSV byte-stable)"
-./target/release/scale02_farsite --base 100 --max-n 200 --farsite-n 0 --seed 7 \
-  --out results/scale02_smoke_a.csv --json results/scale02_smoke_a.json
-./target/release/scale02_farsite --base 100 --max-n 200 --farsite-n 0 --seed 7 \
-  --out results/scale02_smoke_b.csv --json results/scale02_smoke_b.json >/dev/null
-cmp results/scale02_smoke_a.csv results/scale02_smoke_b.csv
-rm -f results/scale02_smoke_{a,b}.csv results/scale02_smoke_{a,b}.json
-
-echo "==> scale03 smoke (fixed seed, small N: parallel executor CSV == serial CSV)"
-# The partitioned executor's whole contract: a parallel-only run emits
-# the byte-identical deterministic CSV of a serial-only run (each run
-# also asserts per-shard oracle cleanliness and completeness 1.0).
-./target/release/scale03_million --n 600 --parts 3 --workers 3 --seed 7 --mode serial \
-  --out results/scale03_smoke_a.csv --json results/scale03_smoke_a.json
-./target/release/scale03_million --n 600 --parts 3 --workers 3 --seed 7 --mode parallel \
-  --out results/scale03_smoke_b.csv --json results/scale03_smoke_b.json >/dev/null
-cmp results/scale03_smoke_a.csv results/scale03_smoke_b.csv
-rm -f results/scale03_smoke_{a,b}.csv results/scale03_smoke_{a,b}.json
+echo "==> scale ladder (small points reproduce results/scale.csv; serial == parallel across processes)"
+# Every point asserts completeness 1.0 and a clean oracle on each
+# overlay. Only the deterministic CSV is compared; the JSON twin holds
+# wall time and peak RSS, which depend on the host.
+for n in 1000 2000; do
+  ./target/release/scale --n "$n" --out "$tmp/scale_$n.csv" --json "$tmp/scale_$n.json"
+  cmp <(head -n 1 results/scale.csv; grep "^$n,1," results/scale.csv) "$tmp/scale_$n.csv"
+done
+# Two points (serial and parallel): each mode runs in its own child
+# process, and the parent fails if their rows differ.
+./target/release/scale --n 600 --parts 3 --workers 3 --seed 7 --mode both \
+  --out "$tmp/scale_fed.csv" --json "$tmp/scale_fed.json"
 
 echo "==> storm01 smoke (fixed seed, small N: oracle-gated, K=1 byte-identity, CSV byte-stable)"
 # Asserts internally: every query reaches completeness 1.0, the chaos

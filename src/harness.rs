@@ -124,8 +124,3 @@ impl WorldConfig {
         self.build_with_tables(tables, availability)
     }
 }
-
-/// Runs the world until the engine clock reaches `until`.
-pub fn run_until(eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, until: Time) {
-    sw.run_until(eng, until);
-}
